@@ -2,7 +2,7 @@
 //! on the mushroom and retail profiles.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pb_core::{PrivBasis, PrivBasisParams};
+use pb_core::PrivBasis;
 use pb_datagen::DatasetProfile;
 use pb_dp::Epsilon;
 use pb_tf::{TfConfig, TfMethod};
@@ -24,22 +24,6 @@ fn bench_end_to_end(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(1);
                 black_box(pb.run(&mut rng, &db, k, Epsilon::Finite(1.0)).unwrap())
-            })
-        });
-        // The same pipeline with the vertical index disabled: the gap between this and
-        // `privbasis` is the end-to-end payoff of the index (output is identical).
-        let pb_naive = PrivBasis::new(PrivBasisParams {
-            use_index: false,
-            ..Default::default()
-        });
-        group.bench_function("privbasis_no_index", |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(1);
-                black_box(
-                    pb_naive
-                        .run(&mut rng, &db, k, Epsilon::Finite(1.0))
-                        .unwrap(),
-                )
             })
         });
         let tf = TfMethod::new(TfConfig::new(k, 2, Epsilon::Finite(1.0)));

@@ -1,26 +1,23 @@
 //! Bench B6 — the pb-service cached paths vs per-query cold precomputation, and the
 //! sharded execution engine vs the single full index.
 //!
-//! `service/cached_vs_cold_index` — three rungs, all publishing byte-identical releases
+//! `service/cached_vs_cold_index` — two rungs, both publishing byte-identical releases
 //! for the same seed:
 //!
 //! * `cold_build_per_query` — `PrivBasis::run`: every query pays the item-frequency scan,
 //!   the θ mining pass, and a restricted index build.
-//! * `cached_shared_index` — `PrivBasis::run_with_index` with one prebuilt full index:
-//!   what a naive cache saves. The delta is small because on large databases the θ
-//!   mining, not the index build, dominates the cold path.
 //! * `cached_query_context` — `PrivBasis::run_shared` with a `QueryContext` (what
-//!   `pb-service` actually caches per dataset): index, item ranking, and θ memo all
-//!   reused, leaving only the private mechanisms and bin counting per query.
+//!   `pb-service` caches per dataset): the shard's full index, item ranking, and θ memo
+//!   all reused, leaving only the private mechanisms and bin counting per query.
 //!
-//! `service/sharded_vs_single` — the `pb-shard` fan-out against the single index, again
-//! byte-identical by construction:
+//! `service/sharded_vs_single` — one shard against four, again byte-identical by
+//! construction:
 //!
 //! * `single_index_counts` / `sharded_counts_s4` — the BasisFreq bin histograms plus
 //!   pair counting (the per-query counting work a warm server does), on one full index
 //!   vs 4 row shards merged by summation.
-//! * `single_index_query` / `sharded_query_s4` — the whole warm `run_shared` query
-//!   through each context flavour.
+//! * `single_index_query` / `sharded_query_s4` — the whole warm `run_shared` query on
+//!   an unsharded (one-shard) context vs a 4-shard one.
 //!
 //! Shard counting splits the same total work across per-shard indexes, so it is at
 //! parity on a single hardware thread and wins roughly linearly with real cores (each
@@ -49,17 +46,6 @@ fn bench_cached_vs_cold(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
             black_box(pb.run(&mut rng, &db, k, eps).unwrap())
-        })
-    });
-
-    let index = VerticalIndex::build(&db);
-    group.bench_function("cached_shared_index", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(1);
-            black_box(
-                pb.run_with_index(&mut rng, &db, Some(&index), k, eps)
-                    .unwrap(),
-            )
         })
     });
 
@@ -110,7 +96,10 @@ fn bench_sharded_vs_single(c: &mut Criterion) {
     group.bench_function(format!("sharded_counts_s{shards}").as_str(), |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(2);
-            let counts = pb_core::basis_freq_counts_sharded(&mut rng, &sharded, &basis_set, eps);
+            let counts =
+                pb_core::basis_freq_counts_with_histograms(&mut rng, &basis_set, eps, |bases| {
+                    sharded.bin_histograms(bases)
+                });
             black_box((counts.len(), sharded.pair_counts(&frequent_items).len()))
         })
     });

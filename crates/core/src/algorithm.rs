@@ -14,10 +14,7 @@
 use crate::basis::BasisSet;
 use crate::consistency::enforce_consistency;
 use crate::construct::construct_basis_set;
-use crate::freq::{
-    basis_freq_counts_naive, basis_freq_counts_with_histograms, basis_freq_counts_with_index,
-    NoisyCandidateCounts,
-};
+use crate::freq::{basis_freq_counts_with_histograms, NoisyCandidateCounts};
 use crate::observe::{NoopObserver, PhaseObserver};
 use crate::params::{PrivBasisParams, SelectionScale};
 use pb_dp::exponential_mechanism;
@@ -30,29 +27,64 @@ use rand::Rng;
 use std::collections::BTreeMap;
 
 /// The counting engine one run executes against. Which variant is in play never changes
-/// the released bytes (all engines produce identical exact counts and consume the same
-/// noise stream); it only changes *where* the counting work happens.
+/// the released bytes (both produce identical exact counts and consume the same noise
+/// stream); it only changes *where* the counting work happens.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Engine<'a> {
-    /// A single in-memory database, optionally with a caller-provided full index; when
-    /// no index is shared, the run builds a restricted one over the selected items
-    /// (`params.use_index`) or falls back to row scans.
+    /// A one-shot run over a bare database: counting happens on a per-run index
+    /// restricted to the selected items, so memory stays `O(λ·N/64)` words however
+    /// wide the item universe is — a full per-item index of a kosarak- or AOL-sized
+    /// universe would not fit.
     Local {
         /// The database.
         db: &'a TransactionDb,
-        /// A full prebuilt index over `db`, when the caller has one to share.
-        shared_index: Option<&'a VerticalIndex>,
     },
-    /// A row-sharded database: every count fans out across shards and merges by
-    /// summation before any noise touches it.
+    /// A row-sharded database (one shard when unsharded) with full per-shard indexes:
+    /// every count fans out across shards and merges by summation before any noise
+    /// touches it.
     Sharded(&'a ShardedDb),
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
     fn num_transactions(&self) -> usize {
         match self {
-            Engine::Local { db, .. } => db.len(),
+            Engine::Local { db } => db.len(),
             Engine::Sharded(s) => s.num_transactions(),
+        }
+    }
+
+    /// Binds the engine to one run's selected items: the local engine builds its
+    /// restricted index here, the sharded one counts on the indexes it already owns.
+    fn counter(self, frequent_items: &ItemSet) -> Counter<'a> {
+        match self {
+            Engine::Local { db } => {
+                Counter::Restricted(VerticalIndex::build_restricted(db, frequent_items))
+            }
+            Engine::Sharded(s) => Counter::Sharded(s),
+        }
+    }
+}
+
+/// An [`Engine`] bound to one run's selected items (see [`Engine::counter`]).
+enum Counter<'a> {
+    Restricted(VerticalIndex),
+    Sharded(&'a ShardedDb),
+}
+
+impl Counter<'_> {
+    fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
+        match self {
+            Counter::Restricted(index) => index.pair_counts(items),
+            Counter::Sharded(s) => s.pair_counts(items),
+        }
+    }
+
+    fn bin_histograms(&self, bases: &[ItemSet]) -> Vec<Vec<u64>> {
+        match self {
+            Counter::Restricted(index) => {
+                index.bin_histograms(bases, pb_fim::index::available_parallelism())
+            }
+            Counter::Sharded(s) => s.bin_histograms(bases),
         }
     }
 }
@@ -145,33 +177,16 @@ impl PrivBasis {
     }
 
     /// Publishes the top-`k` frequent itemsets of `db` under `epsilon`-differential privacy.
+    ///
+    /// A one-shot run: the item ranking and the θ anchor are computed here and counting
+    /// happens on a per-run index over the selected items only. Serving layers that
+    /// answer many queries against one dataset build a
+    /// [`QueryContext`](crate::context::QueryContext) once and call
+    /// [`PrivBasis::run_shared`] instead — byte-identical for the same seed.
     pub fn run<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         db: &TransactionDb,
-        k: usize,
-        epsilon: Epsilon,
-    ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_with_index(rng, db, None, k, epsilon)
-    }
-
-    /// [`PrivBasis::run`] with a caller-provided [`VerticalIndex`] over `db`.
-    ///
-    /// Long-lived callers build one full index per dataset and reuse it across queries;
-    /// passing it here skips the per-query [`VerticalIndex::build_restricted`] pass that
-    /// [`PrivBasis::run`] would otherwise do. The index must have been built over this
-    /// `db` (every item of `db` indexed — e.g. via [`VerticalIndex::build`]); a provided
-    /// index takes precedence over `params.use_index`. Output is byte-identical to
-    /// [`PrivBasis::run`] for the same seed: the noise stream and the exact integer
-    /// histograms do not depend on which index served the counts.
-    ///
-    /// The `pb-service` query layer goes one step further and reuses *all* deterministic
-    /// per-dataset precomputation via [`PrivBasis::run_shared`].
-    pub fn run_with_index<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        db: &TransactionDb,
-        shared_index: Option<&VerticalIndex>,
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
@@ -180,7 +195,7 @@ impl PrivBasis {
         let items_by_freq = db.items_by_frequency();
         self.run_pipeline(
             rng,
-            Engine::Local { db, shared_index },
+            Engine::Local { db },
             &items_by_freq,
             |k1| theta_count_direct(db, k1),
             k,
@@ -193,12 +208,13 @@ impl PrivBasis {
     /// [`PrivBasis::run`] against a [`ShardedDb`]: every exact count — item supports,
     /// pair supports, θ-candidate supports, and the `BasisFreq` bin histograms — is
     /// computed per shard and merged by summation, and the Laplace noise is drawn once,
-    /// on the merged histograms, in the same fixed order as the unsharded engines.
+    /// on the merged histograms, in the same fixed order as the unsharded engine.
     ///
     /// For a fixed seed the output is byte-identical to [`PrivBasis::run`] on the
     /// unsharded concatenation of the shards, for **any** shard count (property-tested
-    /// in `tests/proptest_sharded.rs`), so operators can re-partition a dataset freely
-    /// without changing a single released bit.
+    /// in `tests/proptest_sharded.rs`). [`PrivBasis::run_shared`] over
+    /// [`QueryContext::sharded`](crate::context::QueryContext::sharded) is the same
+    /// engine with the deterministic precomputation memoized across queries.
     pub fn run_sharded<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -218,11 +234,11 @@ impl PrivBasis {
         )
     }
 
-    /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext):
-    /// the cached full index *and* the memoized deterministic precomputation
+    /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext): the
+    /// per-shard indexes *and* the memoized deterministic precomputation
     /// (items-by-frequency, per-`k1` θ counts) are all reused, leaving only the private
     /// mechanisms and the bin counting on the per-query path. Byte-identical to
-    /// [`PrivBasis::run`] on the context's database for the same seed.
+    /// [`PrivBasis::run`] on the context's rows for the same seed.
     pub fn run_shared<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -230,15 +246,11 @@ impl PrivBasis {
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_shared_observed(rng, context, k, epsilon, &NoopObserver)
+        self.run_shared_transformed(rng, context, k, epsilon, None, &NoopObserver)
     }
 
     /// [`PrivBasis::run_shared`] with a [`PhaseObserver`] watching the stage
     /// boundaries (λ estimation, selection, noise draw, counting, consistency).
-    ///
-    /// Observation is passive and clock-free on this side — the observer mints the
-    /// instants — so the release is byte-identical to [`PrivBasis::run_shared`]
-    /// for the same seed whether or not anybody is watching.
     pub fn run_shared_observed<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -247,34 +259,29 @@ impl PrivBasis {
         epsilon: Epsilon,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            context.engine(),
-            context.items_by_frequency(),
-            |k1| context.theta_count(k1),
-            k,
-            epsilon,
-            None,
-            obs,
-        )
+        self.run_shared_transformed(rng, context, k, epsilon, None, obs)
     }
 
-    /// [`PrivBasis::run_shared_observed`] with a [`CountTransform`] rewriting every
-    /// candidate count once, post-merge, before the top-`k` ranking.
+    /// The general form of [`PrivBasis::run_shared`]: an optional [`CountTransform`]
+    /// rewriting every candidate count once, post-merge, before the top-`k` ranking,
+    /// and a [`PhaseObserver`] ([`NoopObserver`] when nobody watches).
     ///
-    /// This is the server-side LDP entry point: mining over client-perturbed data runs
-    /// the whole pipeline noiselessly ([`Epsilon::Infinite`] — the privacy was already
-    /// spent at the clients, so there is nothing for a ledger to debit) and passes the
-    /// channel's debias correction here. Because the transform only sees the merged
-    /// counts, the exact integer histograms and their shard-fabric summation are
+    /// The transform is the server-side LDP entry point: mining over client-perturbed
+    /// data runs the whole pipeline noiselessly ([`Epsilon::Infinite`] — the privacy was
+    /// already spent at the clients, so there is nothing for a ledger to debit) and
+    /// passes the channel's debias correction here. Because the transform only sees the
+    /// merged counts, the exact integer histograms and their shard-fabric summation are
     /// unchanged — the release stays byte-identical for any shard count or placement.
+    ///
+    /// Observation is passive and clock-free on this side — the observer mints the
+    /// instants — so the release is byte-identical whether or not anybody is watching.
     pub fn run_shared_transformed<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         context: &crate::context::QueryContext,
         k: usize,
         epsilon: Epsilon,
-        transform: CountTransform<'_>,
+        transform: Option<CountTransform<'_>>,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
         self.run_pipeline(
@@ -284,7 +291,7 @@ impl PrivBasis {
             |k1| context.theta_count(k1),
             k,
             epsilon,
-            Some(transform),
+            transform,
             obs,
         )
     }
@@ -338,17 +345,9 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_select)?;
             obs.phase("select_items", t_items, obs.now());
-            let owned_index = self.owned_index(engine, &frequent_items);
+            let counter = engine.counter(&frequent_items);
             let basis_set = BasisSet::single(frequent_items.clone());
-            let counts = self.count_bases(
-                rng,
-                engine,
-                owned_index.as_ref(),
-                &basis_set,
-                eps_counts,
-                transform,
-                obs,
-            );
+            let counts = self.count_bases(rng, &counter, n, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -375,22 +374,14 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_items)?;
             obs.phase("select_items", t_items, obs.now());
-            let owned_index = self.owned_index(engine, &frequent_items);
+            let counter = engine.counter(&frequent_items);
 
             let t_pairs = obs.now();
             let frequent_pairs = match eps_pairs {
                 Some(eps_pairs) if frequent_items.len() >= 2 => {
-                    // Exact pair supports from whichever engine is counting: the index,
-                    // a row scan, or the per-shard merge — identical integers each way.
-                    let pair_counts = match engine {
-                        Engine::Sharded(s) => s.pair_counts(&frequent_items),
-                        Engine::Local { db, shared_index } => {
-                            match shared_index.or(owned_index.as_ref()) {
-                                Some(ix) => ix.pair_counts(&frequent_items),
-                                None => db.pair_counts(&frequent_items),
-                            }
-                        }
-                    };
+                    // Exact pair supports from whichever engine is counting: the
+                    // restricted index or the per-shard merge — identical integers.
+                    let pair_counts = counter.pair_counts(&frequent_items);
                     self.select_frequent_pairs(
                         rng,
                         n,
@@ -408,15 +399,7 @@ impl PrivBasis {
             let basis_set =
                 construct_basis_set(&frequent_items, &frequent_pairs, self.params.max_basis_len);
             obs.phase("construct", t_construct, obs.now());
-            let counts = self.count_bases(
-                rng,
-                engine,
-                owned_index.as_ref(),
-                &basis_set,
-                eps_counts,
-                transform,
-                obs,
-            );
+            let counts = self.count_bases(rng, &counter, n, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -429,74 +412,42 @@ impl PrivBasis {
         }
     }
 
-    /// The per-run restricted index of the local engine: built over only the λ selected
-    /// items, so memory stays `O(λ·N/64)` words however sparse and wide the item
-    /// universe is. `None` when a shared index exists, when `params.use_index` is off,
-    /// or when the engine is sharded (each shard already owns its index).
-    fn owned_index(&self, engine: Engine<'_>, frequent_items: &ItemSet) -> Option<VerticalIndex> {
-        match engine {
-            Engine::Local {
-                db,
-                shared_index: None,
-            } => self
-                .params
-                .use_index
-                .then(|| VerticalIndex::build_restricted(db, frequent_items)),
-            _ => None,
-        }
-    }
-
-    /// Step 5 dispatch: BasisFreq on whichever engine is counting — shared or
-    /// per-run index, row scan, or the sharded merge — followed by the (budget-free)
+    /// Step 5: BasisFreq on the run's counter, followed by the (budget-free)
     /// consistency post-processing when `params.consistency` is set, then the optional
-    /// [`CountTransform`] (the LDP debias). Identical output every way for a fixed
-    /// seed: all engines produce the same exact counts, consume the same noise stream,
+    /// [`CountTransform`] (the LDP debias). Identical output on either counter for a
+    /// fixed seed: both produce the same exact counts, consume the same noise stream,
     /// and both post-passes are deterministic.
     #[allow(clippy::too_many_arguments)]
     fn count_bases<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        engine: Engine<'_>,
-        owned_index: Option<&VerticalIndex>,
+        counter: &Counter<'_>,
+        n: usize,
         basis_set: &BasisSet,
         eps: Epsilon,
         transform: Option<CountTransform<'_>>,
         obs: &dyn PhaseObserver,
     ) -> NoisyCandidateCounts {
-        let mut counts = match engine {
-            Engine::Sharded(s) => {
-                // BasisFreq draws every Laplace variate *before* the exact counting
-                // closure runs, so the window from call start to closure entry is the
-                // noise draw, the closure itself is the per-shard fan-out + merge, and
-                // the remainder is the noisy reconstruction — three clean phases
-                // without moving a single statement of the mechanism.
-                let t_call = obs.now();
-                let merge_window = std::cell::Cell::new((t_call, t_call));
-                let c = basis_freq_counts_with_histograms(rng, basis_set, eps, |bases| {
-                    let t = obs.now();
-                    let hists = s.bin_histograms(bases);
-                    merge_window.set((t, obs.now()));
-                    hists
-                });
-                let (merge_start, merge_end) = merge_window.get();
-                obs.phase("noise_draw", t_call, merge_start);
-                obs.phase("shard_merge", merge_start, merge_end);
-                obs.phase("reconstruct", merge_end, obs.now());
-                c
-            }
-            Engine::Local { db, shared_index } => {
-                let t_count = obs.now();
-                let c = match shared_index.or(owned_index) {
-                    Some(ix) => basis_freq_counts_with_index(rng, ix, basis_set, eps),
-                    None => basis_freq_counts_naive(rng, db, basis_set, eps),
-                };
-                obs.phase("count", t_count, obs.now());
-                c
-            }
-        };
+        // BasisFreq draws every Laplace variate *before* the exact counting closure
+        // runs, so the window from call start to closure entry is the noise draw, the
+        // closure itself is the counting (per-shard fan-out + merge), and the remainder
+        // is the noisy reconstruction — three clean phases without moving a single
+        // statement of the mechanism.
+        let t_call = obs.now();
+        let merge_window = std::cell::Cell::new((t_call, t_call));
+        let mut counts = basis_freq_counts_with_histograms(rng, basis_set, eps, |bases| {
+            let t = obs.now();
+            let hists = counter.bin_histograms(bases);
+            merge_window.set((t, obs.now()));
+            hists
+        });
+        let (merge_start, merge_end) = merge_window.get();
+        obs.phase("noise_draw", t_call, merge_start);
+        obs.phase("shard_merge", merge_start, merge_end);
+        obs.phase("reconstruct", merge_end, obs.now());
         if let Some(options) = self.params.consistency {
             let t_consistency = obs.now();
-            let adjusted = enforce_consistency(&counts, engine.num_transactions(), options);
+            let adjusted = enforce_consistency(&counts, n, options);
             counts.apply_adjusted_counts(&adjusted);
             obs.phase("consistency", t_consistency, obs.now());
         }
@@ -812,35 +763,86 @@ mod tests {
 
     #[test]
     fn indexed_and_naive_runs_are_byte_identical() {
-        let db = dense_db(2_500);
-        let indexed = PrivBasis::with_defaults();
-        let naive = PrivBasis::new(PrivBasisParams {
-            use_index: false,
-            ..Default::default()
-        });
-        for seed in [0u64, 1, 2, 42] {
-            let a = indexed
-                .run(
+        // The pipeline counts on an index; the paper's row scan stays as the reference.
+        // On the basis sets a run actually constructs — single-basis (dense) and
+        // multi-basis (sparse) — indexed and row-scan BasisFreq release the same bits.
+        let pb = PrivBasis::with_defaults();
+        let mut multi_basis = false;
+        for (db, k) in [(dense_db(2_500), 6usize), (sparse_db(3_000), 25)] {
+            for seed in [0u64, 1, 2, 42] {
+                let out = pb
+                    .run(
+                        &mut StdRng::seed_from_u64(seed),
+                        &db,
+                        k,
+                        Epsilon::Finite(0.8),
+                    )
+                    .unwrap();
+                multi_basis |= out.basis_set.width() > 1;
+                let indexed = crate::freq::basis_freq_counts(
                     &mut StdRng::seed_from_u64(seed),
                     &db,
-                    6,
+                    &out.basis_set,
                     Epsilon::Finite(0.8),
-                )
-                .unwrap();
-            let b = naive
-                .run(
+                );
+                let naive = crate::freq::basis_freq_counts_naive(
                     &mut StdRng::seed_from_u64(seed),
                     &db,
-                    6,
+                    &out.basis_set,
                     Epsilon::Finite(0.8),
-                )
-                .unwrap();
-            assert_eq!(a.lambda, b.lambda);
-            assert_eq!(a.basis_set, b.basis_set);
-            assert_eq!(a.itemsets.len(), b.itemsets.len());
-            for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
-                assert_eq!(sa, sb);
-                assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
+                );
+                assert!(!indexed.is_empty());
+                assert_eq!(indexed.len(), naive.len());
+                for ((sa, ea), (sb, eb)) in indexed.iter().zip(naive.iter()) {
+                    assert_eq!(sa, sb);
+                    assert_eq!(
+                        ea.count.to_bits(),
+                        eb.count.to_bits(),
+                        "counts differ for {sa:?}"
+                    );
+                    assert_eq!(ea.variance_units.to_bits(), eb.variance_units.to_bits());
+                }
+            }
+        }
+        assert!(
+            multi_basis,
+            "the sparse fixture must reach the multi-basis path"
+        );
+    }
+
+    #[test]
+    fn shared_full_index_is_byte_identical_to_per_query_build() {
+        // The serving path counts against one full per-item index built once per dataset
+        // (a 1-shard context); the one-shot run builds a restricted index per query.
+        // Neither may change a single bit of the release.
+        let pb = PrivBasis::with_defaults();
+        for (db, k) in [(dense_db(2_500), 6usize), (sparse_db(3_000), 25)] {
+            let db = std::sync::Arc::new(db);
+            let context = crate::context::QueryContext::new(std::sync::Arc::clone(&db));
+            for seed in [0u64, 3, 9] {
+                let a = pb
+                    .run(
+                        &mut StdRng::seed_from_u64(seed),
+                        &db,
+                        k,
+                        Epsilon::Finite(0.8),
+                    )
+                    .unwrap();
+                let b = pb
+                    .run_shared(
+                        &mut StdRng::seed_from_u64(seed),
+                        &context,
+                        k,
+                        Epsilon::Finite(0.8),
+                    )
+                    .unwrap();
+                assert_eq!(a.lambda, b.lambda);
+                assert_eq!(a.basis_set, b.basis_set);
+                assert_eq!(a.itemsets.len(), b.itemsets.len());
+                for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
+                    assert_eq!(sa, sb);
+                    assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
+                }
             }
         }
     }
@@ -945,42 +947,6 @@ mod tests {
             assert_eq!(a.lambda, b.lambda, "seed {seed}");
             assert_eq!(a.frequent_items, b.frequent_items, "seed {seed}");
             assert_eq!(a.basis_set, b.basis_set, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn shared_full_index_is_byte_identical_to_per_query_build() {
-        // run_with_index serves the pb-service cached-index path: counting against one
-        // full prebuilt index must not change a single bit of the release.
-        let pb = PrivBasis::with_defaults();
-        for (db, k) in [(dense_db(2_500), 6usize), (sparse_db(3_000), 25)] {
-            let index = VerticalIndex::build(&db);
-            for seed in [0u64, 3, 9] {
-                let a = pb
-                    .run(
-                        &mut StdRng::seed_from_u64(seed),
-                        &db,
-                        k,
-                        Epsilon::Finite(0.8),
-                    )
-                    .unwrap();
-                let b = pb
-                    .run_with_index(
-                        &mut StdRng::seed_from_u64(seed),
-                        &db,
-                        Some(&index),
-                        k,
-                        Epsilon::Finite(0.8),
-                    )
-                    .unwrap();
-                assert_eq!(a.lambda, b.lambda);
-                assert_eq!(a.basis_set, b.basis_set);
-                assert_eq!(a.itemsets.len(), b.itemsets.len());
-                for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
-                    assert_eq!(sa, sb);
-                    assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
-                }
-            }
         }
     }
 

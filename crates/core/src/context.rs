@@ -9,145 +9,83 @@
 //! benchmark). [`QueryContext`] bundles that precomputation behind cheap shared
 //! references so [`PrivBasis::run_shared`](crate::PrivBasis::run_shared) can skip it.
 //!
-//! A context has one of two backends, chosen at construction and invisible in the
-//! released bytes:
-//!
-//! * [`QueryContext::new`] — a single database with one full [`VerticalIndex`],
-//! * [`QueryContext::sharded`] — a row-partitioned [`ShardedDb`]: counting fans out
-//!   across the shards and merges by summation, θ anchors come from the sharded
-//!   best-first miner, and noise is still drawn once on the merged counts — so a pinned
-//!   seed produces byte-identical [`PrivBasisOutput`](crate::PrivBasisOutput) whatever
-//!   the shard count.
+//! Every context counts over a row-partitioned [`ShardedDb`]; an unsharded dataset is
+//! simply one shard ([`QueryContext::new`]). Counting fans out across the shards and
+//! merges by summation, θ anchors come from the sharded best-first miner, and noise is
+//! drawn once on the merged counts — so a pinned seed produces byte-identical
+//! [`PrivBasisOutput`](crate::PrivBasisOutput) whatever the shard count.
 //!
 //! Reusing deterministic precomputation is privacy-neutral: every cached value is a fixed
 //! function of the database, identical to what each query would have recomputed, so each
 //! query's ε accounting is unchanged — byte-identically so, which
 //! `shared_context_is_byte_identical_to_run` asserts.
 
-use crate::algorithm::{theta_count_direct, Engine};
+use crate::algorithm::Engine;
 use pb_fim::itemset::Item;
-use pb_fim::{TransactionDb, VerticalIndex};
+use pb_fim::TransactionDb;
 use pb_shard::ShardedDb;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Where a context's exact counts come from.
-#[derive(Debug)]
-enum Backend {
-    /// One database, one full index, one item ranking.
-    Single {
-        db: Arc<TransactionDb>,
-        index: Arc<VerticalIndex>,
-        items_by_freq: Vec<(Item, usize)>,
-    },
-    /// Row shards, each with its own index; counts merge by summation. The merged item
-    /// ranking is cached inside the [`ShardedDb`] itself — no second copy here.
-    Sharded(Arc<ShardedDb>),
-}
-
 /// Cached deterministic per-dataset state shared across queries.
 #[derive(Debug)]
 pub struct QueryContext {
-    backend: Backend,
+    /// The rows, each shard with its own index. The merged item ranking is cached
+    /// inside the [`ShardedDb`] itself — no second copy here.
+    sharded: Arc<ShardedDb>,
     /// `k1 → exact support count of the k1-th most frequent itemset`. Different queries
     /// use different `k` (hence `k1`), so this memo grows with the distinct `k1`s seen.
     theta_counts: Mutex<HashMap<usize, f64>>,
 }
 
 impl QueryContext {
-    /// Builds a single-database context: one full index build plus one item-frequency
-    /// scan.
+    /// Builds a context over one database as a single shard. The rows are shared, not
+    /// copied: the shard adopts `db` itself.
     ///
     /// θ counts are *not* precomputed (they depend on the query's `k`); each distinct
     /// `k1` is mined once on first use and memoized.
     pub fn new(db: Arc<TransactionDb>) -> Self {
-        let index = VerticalIndex::build(&db).into_shared();
-        let items_by_freq = db.items_by_frequency();
-        QueryContext {
-            backend: Backend::Single {
-                db,
-                index,
-                items_by_freq,
-            },
-            theta_counts: Mutex::new(HashMap::new()),
-        }
+        Self::sharded(ShardedDb::from_shards(vec![db]).into_shared())
     }
 
-    /// Builds a sharded context over a pre-partitioned database: the per-shard indexes
-    /// are built (in parallel, on first use per shard) and the item ranking is merged
-    /// from the shards. Queries through this context release byte-identical output to a
-    /// single-database context over the same rows, for any shard count.
+    /// Builds a context over a pre-partitioned database: the per-shard indexes are
+    /// built (in parallel) and the item ranking is merged from the shards. Queries
+    /// through this context release byte-identical output for any shard count.
     pub fn sharded(sharded: Arc<ShardedDb>) -> Self {
-        // Force the merged ranking now (it is cached inside the ShardedDb) so first
-        // queries find a fully warm context, mirroring `new`.
+        // Force the merged ranking now (it is cached inside the ShardedDb, and building
+        // it builds every shard's index) so first queries find a fully warm context.
         let _ = sharded.items_by_frequency();
         QueryContext {
-            backend: Backend::Sharded(sharded),
+            sharded,
             theta_counts: Mutex::new(HashMap::new()),
         }
     }
 
     /// Total number of transactions behind the context.
     pub fn num_transactions(&self) -> usize {
-        match &self.backend {
-            Backend::Single { db, .. } => db.len(),
-            Backend::Sharded(s) => s.num_transactions(),
-        }
+        self.sharded.num_transactions()
     }
 
-    /// Number of shards the context counts over (1 for a single-database context).
+    /// Number of shards the context counts over (1 for an unsharded dataset).
     pub fn num_shards(&self) -> usize {
-        match &self.backend {
-            Backend::Single { .. } => 1,
-            Backend::Sharded(s) => s.num_shards().max(1),
-        }
+        self.sharded.num_shards().max(1)
     }
 
-    /// The underlying single database, `None` for a sharded context (whose rows live in
-    /// [`QueryContext::sharded_db`]).
-    pub fn db(&self) -> Option<&Arc<TransactionDb>> {
-        match &self.backend {
-            Backend::Single { db, .. } => Some(db),
-            Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The cached full vertical index, `None` for a sharded context (each shard owns
-    /// its own index).
-    pub fn index(&self) -> Option<&Arc<VerticalIndex>> {
-        match &self.backend {
-            Backend::Single { index, .. } => Some(index),
-            Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded database, `None` for a single-database context.
+    /// The sharded database. Always `Some` — every context counts over a
+    /// [`ShardedDb`] — and kept `Option` only because existing callers match on it.
     pub fn sharded_db(&self) -> Option<&Arc<ShardedDb>> {
-        match &self.backend {
-            Backend::Single { .. } => None,
-            Backend::Sharded(s) => Some(s),
-        }
+        Some(&self.sharded)
     }
 
     /// Items by descending frequency (same contract as
-    /// [`TransactionDb::items_by_frequency`]; merged across shards when sharded).
+    /// [`TransactionDb::items_by_frequency`], merged across shards).
     pub fn items_by_frequency(&self) -> &[(Item, usize)] {
-        match &self.backend {
-            Backend::Single { items_by_freq, .. } => items_by_freq,
-            // The ShardedDb caches the merged ranking itself — one copy, not two.
-            Backend::Sharded(s) => s.items_by_frequency(),
-        }
+        self.sharded.items_by_frequency()
     }
 
     /// The counting engine `run_shared` hands to the pipeline.
     pub(crate) fn engine(&self) -> Engine<'_> {
-        match &self.backend {
-            Backend::Single { db, index, .. } => Engine::Local {
-                db,
-                shared_index: Some(index),
-            },
-            Backend::Sharded(s) => Engine::Sharded(s),
-        }
+        Engine::Sharded(&self.sharded)
     }
 
     /// The θ support count for one `k1`, mined on first use.
@@ -160,13 +98,10 @@ impl QueryContext {
         if let Some(&count) = self.lock().get(&k1) {
             return count;
         }
-        let count = match &self.backend {
-            Backend::Single { db, .. } => theta_count_direct(db, k1),
-            // The sharded best-first miner counts candidates across shards; same value
-            // as mining the concatenation (the support multiset is a property of the
-            // data, not the algorithm).
-            Backend::Sharded(s) => s.kth_support_count(k1),
-        };
+        // The sharded best-first miner counts candidates across shards; same value as
+        // mining the concatenation (the support multiset is a property of the data, not
+        // the algorithm).
+        let count = self.sharded.kth_support_count(k1);
         self.lock().insert(k1, count);
         count
     }
@@ -201,6 +136,25 @@ mod tests {
         TransactionDb::from_transactions(rows).into_shared()
     }
 
+    /// Forty items with pseudo-independent occurrences and frequencies falling from 0.5
+    /// to 0.3: pairs rarely beat singletons, so k = 25 drives λ past the single-basis
+    /// threshold and exercises pair selection and the multi-basis path.
+    fn sparse_db() -> Arc<TransactionDb> {
+        let rows: Vec<Vec<u32>> = (0..3_000u64)
+            .map(|i| {
+                (0..40u32)
+                    .filter(|&j| {
+                        let mut x = (i * 40 + u64::from(j)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        x ^= x >> 31;
+                        let roll = (x.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 33) % 1_000;
+                        roll < 500 - 5 * u64::from(j)
+                    })
+                    .collect()
+            })
+            .collect();
+        TransactionDb::from_transactions(rows).into_shared()
+    }
+
     #[test]
     fn context_matches_direct_computation() {
         let db = db();
@@ -208,9 +162,9 @@ mod tests {
         assert_eq!(ctx.items_by_frequency(), &db.items_by_frequency()[..]);
         assert_eq!(ctx.num_transactions(), db.len());
         assert_eq!(ctx.num_shards(), 1);
-        assert_eq!(ctx.db().unwrap().len(), db.len());
-        assert_eq!(ctx.index().unwrap().num_transactions(), db.len());
-        assert!(ctx.sharded_db().is_none());
+        // One shard that adopted the caller's rows rather than copying them.
+        let sharded = ctx.sharded_db().expect("every context is sharded");
+        assert!(Arc::ptr_eq(sharded.shards()[0].db(), &db));
         for k1 in [1usize, 3, 7] {
             assert_eq!(
                 ctx.theta_count(k1),
@@ -230,9 +184,7 @@ mod tests {
         let ctx = QueryContext::sharded(Arc::clone(&sharded));
         assert_eq!(ctx.num_transactions(), db.len());
         assert_eq!(ctx.num_shards(), 4);
-        assert!(ctx.db().is_none());
-        assert!(ctx.index().is_none());
-        assert!(ctx.sharded_db().is_some());
+        assert_eq!(ctx.sharded_db().unwrap().num_shards(), 4);
         assert_eq!(ctx.items_by_frequency(), &db.items_by_frequency()[..]);
         for k1 in [1usize, 3, 7] {
             assert_eq!(
@@ -245,29 +197,41 @@ mod tests {
 
     #[test]
     fn shared_context_is_byte_identical_to_run() {
-        let db = db();
-        let single = QueryContext::new(Arc::clone(&db));
-        let sharded = QueryContext::sharded(ShardedDb::partition(&db, 3).into_shared());
+        // The one-shot run (per-run restricted index, top-k θ miner) and a context —
+        // unsharded or 3 shards (full per-shard indexes, best-first θ miner) — must
+        // release the same bytes, on the single-basis (dense) and multi-basis (sparse)
+        // paths alike.
         let pb = PrivBasis::with_defaults();
-        for seed in [1u64, 5, 11] {
-            for eps in [Epsilon::Finite(0.7), Epsilon::Infinite] {
-                let a = pb
-                    .run(&mut StdRng::seed_from_u64(seed), &db, 5, eps)
-                    .unwrap();
-                for ctx in [&single, &sharded] {
-                    let b = pb
-                        .run_shared(&mut StdRng::seed_from_u64(seed), ctx, 5, eps)
+        let mut multi_basis = false;
+        for (db, k) in [(db(), 5usize), (sparse_db(), 25)] {
+            let single = QueryContext::new(Arc::clone(&db));
+            let sharded = QueryContext::sharded(ShardedDb::partition(&db, 3).into_shared());
+            for seed in [1u64, 5, 11] {
+                for eps in [Epsilon::Finite(0.7), Epsilon::Infinite] {
+                    let a = pb
+                        .run(&mut StdRng::seed_from_u64(seed), &db, k, eps)
                         .unwrap();
-                    assert_eq!(a.lambda, b.lambda);
-                    assert_eq!(a.basis_set, b.basis_set);
-                    assert_eq!(a.itemsets.len(), b.itemsets.len());
-                    for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
-                        assert_eq!(sa, sb);
-                        assert_eq!(ca.to_bits(), cb.to_bits());
+                    multi_basis |= a.basis_set.width() > 1;
+                    for ctx in [&single, &sharded] {
+                        let b = pb
+                            .run_shared(&mut StdRng::seed_from_u64(seed), ctx, k, eps)
+                            .unwrap();
+                        assert_eq!(a.lambda, b.lambda);
+                        assert_eq!(a.frequent_pairs, b.frequent_pairs);
+                        assert_eq!(a.basis_set, b.basis_set);
+                        assert_eq!(a.itemsets.len(), b.itemsets.len());
+                        for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
+                            assert_eq!(sa, sb);
+                            assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
+                        }
                     }
                 }
             }
         }
+        assert!(
+            multi_basis,
+            "the sparse fixture must reach the multi-basis path"
+        );
     }
 
     #[test]

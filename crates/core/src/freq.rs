@@ -13,19 +13,21 @@
 //!
 //! ## Counting engines
 //!
-//! The exact bin histograms dominate the data-dependent running time, and three engines
-//! compute them, all meeting at the [`basis_freq_counts_with_histograms`] seam:
+//! The exact bin histograms dominate the data-dependent running time, and every engine
+//! computing them meets at the [`basis_freq_counts_with_histograms`] seam:
 //!
 //! * **Indexed** (default, [`basis_freq_counts`]) — a [`VerticalIndex`] is built (or
 //!   passed in via [`basis_freq_counts_with_index`]) and each basis is swept 64
-//!   transactions at a time with word-parallel bit transposes; with the `parallel`
-//!   feature the bases are counted on separate threads.
+//!   transactions at a time with word-parallel bit transposes
+//!   ([`VerticalIndex::bin_histograms`]); with the `parallel` feature the bases are
+//!   counted on separate threads.
 //! * **Naive** ([`basis_freq_counts_naive`]) — the paper's row scan: per transaction,
 //!   `ℓ` membership tests per basis. Kept as the reference the indexed engine is tested
 //!   against and the baseline the benchmarks measure speedups from.
-//! * **Sharded** ([`basis_freq_counts_sharded`]) — per-shard histograms over a
-//!   [`ShardedDb`], merged by summation before the noise is applied (bins over disjoint
-//!   row shards sum exactly; noise is drawn once, never per shard).
+//! * **Sharded** — the serving pipeline plugs `pb_shard::ShardedDb::bin_histograms`
+//!   into the seam: per-shard histograms merged by summation before the noise is
+//!   applied (bins over disjoint row shards sum exactly; noise is drawn once, never per
+//!   shard).
 //!
 //! All engines draw the per-bin Laplace noise in exactly the same order *before* any
 //! counting happens, and the exact histograms are integers, so for a fixed RNG seed the
@@ -39,7 +41,6 @@ use crate::basis::BasisSet;
 use pb_dp::{Epsilon, LaplaceNoise};
 use pb_fim::itemset::{Item, ItemSet};
 use pb_fim::{TransactionDb, VerticalIndex};
-use pb_shard::ShardedDb;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -324,66 +325,8 @@ pub fn basis_freq_counts_with_index<R: Rng + ?Sized>(
     epsilon: Epsilon,
 ) -> NoisyCandidateCounts {
     basis_freq_counts_with_histograms(rng, basis_set, epsilon, |bases| {
-        exact_histograms(index, bases)
+        index.bin_histograms(bases, pb_fim::index::available_parallelism())
     })
-}
-
-/// Runs the bin-counting and reconstruction phases of Algorithm 1 against a
-/// [`ShardedDb`]: the per-shard exact histograms are merged by summation and the noise
-/// is drawn once, on the merged counts, in the same fixed order as every other engine —
-/// so for a fixed seed the release is byte-identical to [`basis_freq_counts_with_index`]
-/// over the unsharded database, whatever the shard count.
-///
-/// # Panics
-/// Panics if any basis is longer than [`MAX_SUPPORTED_BASIS_LEN`].
-pub fn basis_freq_counts_sharded<R: Rng + ?Sized>(
-    rng: &mut R,
-    sharded: &ShardedDb,
-    basis_set: &BasisSet,
-    epsilon: Epsilon,
-) -> NoisyCandidateCounts {
-    basis_freq_counts_with_histograms(rng, basis_set, epsilon, |bases| {
-        sharded.bin_histograms(bases)
-    })
-}
-
-/// The exact histograms of every basis, one thread per basis when `parallel` is enabled
-/// and there is more than one basis (single-basis workloads parallelise inside
-/// [`VerticalIndex::bin_histogram`] instead).
-fn exact_histograms(index: &VerticalIndex, bases: &[ItemSet]) -> Vec<Vec<u64>> {
-    #[cfg(feature = "parallel")]
-    {
-        // One shared thread budget (pb_fim::index::available_parallelism, which honours
-        // PB_NUM_THREADS / the programmatic override): split it across per-basis
-        // workers, and hand each worker its share for the block sweep inside — so a
-        // wide basis set on a wide machine never multiplies the two fan-outs.
-        let budget = pb_fim::index::available_parallelism();
-        if budget > 1 && bases.len() > 1 && index.num_transactions() >= 1 << 15 {
-            let workers = budget.min(bases.len());
-            let inner_threads = (budget / workers).max(1);
-            let chunk = bases.len().div_ceil(workers);
-            let out: Vec<Vec<u64>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bases
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|b| index.bin_histogram_with_budget(b, inner_threads))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("histogram worker panicked"))
-                    .collect()
-            });
-            debug_assert_eq!(out.len(), bases.len());
-            return out;
-        }
-    }
-    bases.iter().map(|b| index.bin_histogram(b)).collect()
 }
 
 /// Runs the bin-counting and reconstruction phases of Algorithm 1, building a vertical
@@ -407,7 +350,7 @@ pub fn basis_freq_counts<R: Rng + ?Sized>(
 /// The row-scan engine: Algorithm 1 exactly as the paper states it, with no index.
 ///
 /// Byte-identical output to [`basis_freq_counts`] for the same seed; kept as the
-/// correctness reference and benchmark baseline (`--no-index` in the CLI).
+/// correctness reference and benchmark baseline.
 pub fn basis_freq_counts_naive<R: Rng + ?Sized>(
     rng: &mut R,
     db: &TransactionDb,
@@ -430,7 +373,8 @@ pub fn basis_freq<R: Rng + ?Sized>(
     basis_freq_counts(rng, db, basis_set, epsilon).top_k(k)
 }
 
-/// Full Algorithm 1 on the row-scan engine (reference / `--no-index` path).
+/// Full Algorithm 1 on the row-scan engine (the reference the indexed engine is tested
+/// against).
 pub fn basis_freq_naive<R: Rng + ?Sized>(
     rng: &mut R,
     db: &TransactionDb,
@@ -444,6 +388,7 @@ pub fn basis_freq_naive<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pb_shard::ShardedDb;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -533,11 +478,11 @@ mod tests {
                 for eps in [Epsilon::Finite(0.5), Epsilon::Infinite] {
                     let single =
                         basis_freq_counts(&mut StdRng::seed_from_u64(seed), &db, &basis, eps);
-                    let merged = basis_freq_counts_sharded(
+                    let merged = basis_freq_counts_with_histograms(
                         &mut StdRng::seed_from_u64(seed),
-                        &sharded,
                         &basis,
                         eps,
+                        |bases| sharded.bin_histograms(bases),
                     );
                     assert_eq!(single.len(), merged.len());
                     for (itemset, est) in single.iter() {

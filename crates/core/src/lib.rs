@@ -56,9 +56,8 @@ pub use consistency::{enforce_consistency, ConsistencyOptions};
 pub use construct::construct_basis_set;
 pub use context::QueryContext;
 pub use freq::{
-    basis_freq, basis_freq_counts, basis_freq_counts_naive, basis_freq_counts_sharded,
-    basis_freq_counts_with_histograms, basis_freq_counts_with_index, basis_freq_naive,
-    NoisyCandidateCounts,
+    basis_freq, basis_freq_counts, basis_freq_counts_naive, basis_freq_counts_with_histograms,
+    basis_freq_counts_with_index, basis_freq_naive, NoisyCandidateCounts,
 };
 pub use observe::{NoopObserver, PhaseObserver};
 pub use params::{PrivBasisParams, SelectionScale};

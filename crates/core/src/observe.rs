@@ -109,7 +109,9 @@ mod tests {
         let names: Vec<&str> = phases.iter().map(|(n, _, _)| *n).collect();
         assert!(names.contains(&"lambda"), "{names:?}");
         assert!(names.contains(&"select_items"), "{names:?}");
-        assert!(names.contains(&"count"), "{names:?}");
+        for counting in ["noise_draw", "shard_merge", "reconstruct"] {
+            assert!(names.contains(&counting), "{names:?}");
+        }
         assert!(names.contains(&"consistency"), "{names:?}");
         for (name, started, ended) in phases.iter() {
             assert!(started <= ended, "{name}: {started} > {ended}");

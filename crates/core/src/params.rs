@@ -34,11 +34,6 @@ pub struct PrivBasisParams {
     pub max_basis_len: usize,
     /// Scale of exponential-mechanism qualities.
     pub selection_scale: SelectionScale,
-    /// Run the counting phases on a vertical bitmap index (default). When `false`, every
-    /// count is a row scan — the paper's formulation, kept as a reference engine and
-    /// reachable from the CLI via `--no-index`. Both engines produce byte-identical
-    /// output for a fixed seed.
-    pub use_index: bool,
     /// Consistency post-processing of the noisy candidate counts (§4 / Hay et al., PVLDB
     /// 2010) applied between `BasisFreq` and the top-`k` selection. Costs no privacy
     /// budget (pure post-processing). `Some(..)` — the default — matches the paper;
@@ -56,7 +51,6 @@ impl Default for PrivBasisParams {
             single_basis_lambda: 12,
             max_basis_len: 12,
             selection_scale: SelectionScale::Count,
-            use_index: true,
             consistency: Some(ConsistencyOptions::default()),
         }
     }

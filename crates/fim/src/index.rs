@@ -342,6 +342,45 @@ impl VerticalIndex {
         sweep_blocks(&word_slices, 0..num_words, self.num_transactions, ell)
     }
 
+    /// The histograms of several bases within one budget of `threads` workers, equal to
+    /// mapping [`VerticalIndex::bin_histogram`] over `bases` for any budget.
+    ///
+    /// With the `parallel` feature and a wide enough database the budget is split
+    /// across per-basis workers, and each worker hands its share to the block sweeps
+    /// inside its bases — so a wide basis set on a wide machine never multiplies the
+    /// two fan-outs. A single basis gets the whole budget for its sweep.
+    pub fn bin_histograms(&self, bases: &[ItemSet], threads: usize) -> Vec<Vec<u64>> {
+        #[cfg(feature = "parallel")]
+        {
+            if threads > 1 && bases.len() > 1 && self.num_transactions >= 1 << 15 {
+                let workers = threads.min(bases.len());
+                let inner_threads = (threads / workers).max(1);
+                let chunk = bases.len().div_ceil(workers);
+                return std::thread::scope(|scope| {
+                    let handles: Vec<_> = bases
+                        .chunks(chunk)
+                        .map(|slice| {
+                            scope.spawn(move || {
+                                slice
+                                    .iter()
+                                    .map(|b| self.bin_histogram_with_budget(b, inner_threads))
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("histogram worker panicked"))
+                        .collect()
+                });
+            }
+        }
+        bases
+            .iter()
+            .map(|b| self.bin_histogram_with_budget(b, threads))
+            .collect()
+    }
+
     /// Projects every transaction onto `basis`, producing a new row-oriented database —
     /// the vertical route for [`TransactionDb::project`].
     ///
@@ -511,9 +550,9 @@ pub fn set_parallelism_override(threads: Option<usize>) {
 }
 
 /// The worker-thread budget for index builds and histogram sweeps: the programmatic
-/// override if set, else the `PB_NUM_THREADS` environment variable (read once per
-/// process, at first use), else the hardware parallelism. Always 1 when the `parallel`
-/// feature is disabled.
+/// override if set, else the `PB_NUM_THREADS` environment variable, else the hardware
+/// parallelism — both read once per process, at first use. Always 1 when the
+/// `parallel` feature is disabled.
 pub fn available_parallelism() -> usize {
     #[cfg(not(feature = "parallel"))]
     {
@@ -525,17 +564,19 @@ pub fn available_parallelism() -> usize {
         if o != 0 {
             return o;
         }
-        static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        let env = *FROM_ENV.get_or_init(|| {
+        // Cached because the standard-library query re-reads the cgroup CPU quota
+        // files on every call, and the shard executor asks once per counting op.
+        static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *DEFAULT.get_or_init(|| {
             std::env::var("PB_NUM_THREADS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
                 .map(|n| n.max(1))
-        });
-        env.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                })
         })
     }
 }
@@ -666,6 +707,39 @@ mod tests {
         assert_eq!(bins[0b01], 100); // even, not multiple of 3
         assert_eq!(bins[0b10], 50); // multiple of 3, odd
         assert_eq!(bins[0b00], 100);
+    }
+
+    #[test]
+    fn multi_basis_schedule_matches_per_basis_histograms() {
+        // Wide enough (≥ 2^15 rows) for the across-basis split to engage when the
+        // `parallel` feature is on; without it every budget takes the sequential path,
+        // which must agree all the same.
+        let n = (1 << 15) + 1_000;
+        let transactions: Vec<Vec<u32>> = (0..n)
+            .map(|t| {
+                (0..12u32)
+                    .filter(|&j| (t * 7 + j as usize * 13).is_multiple_of(j as usize + 3))
+                    .collect()
+            })
+            .collect();
+        let idx = VerticalIndex::build(&TransactionDb::from_transactions(transactions));
+        let bases = [
+            set(&[0, 1, 2, 3]),
+            set(&[4, 5, 6]),
+            set(&[7, 8]),
+            set(&[9, 10, 11, 0]),
+            set(&[]),
+        ];
+        let expected: Vec<Vec<u64>> = bases.iter().map(|b| idx.bin_histogram(b)).collect();
+        for threads in 1..=4 {
+            assert_eq!(
+                idx.bin_histograms(&bases, threads),
+                expected,
+                "budget {threads}"
+            );
+            assert_eq!(idx.bin_histograms(&bases[..1], threads), expected[..1]);
+        }
+        assert!(idx.bin_histograms(&[], 3).is_empty());
     }
 
     #[test]

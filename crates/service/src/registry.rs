@@ -1,9 +1,10 @@
 //! Named datasets with cached query contexts and budget ledgers.
 //!
-//! The registry is the service's unit of state: each entry owns one immutable
-//! [`TransactionDb`], a lazily built [`QueryContext`] (full [`VerticalIndex`] plus the
-//! memoized deterministic precomputation — item ranking, θ counts) shared by every query
-//! against the dataset, and a [`BudgetLedger`] enforcing the dataset's lifetime ε.
+//! The registry is the service's unit of state: each entry owns its immutable rows as a
+//! [`ShardedDb`] (an unsharded dataset is one shard), a lazily built [`QueryContext`]
+//! (per-shard vertical indexes plus the memoized deterministic precomputation — item
+//! ranking, θ counts) shared by every query against the dataset, and a
+//! [`BudgetLedger`] enforcing the dataset's lifetime ε.
 //! Entries are handed out as `Arc<DatasetEntry>` so worker threads hold them across a
 //! query without pinning the registry lock.
 //!
@@ -25,7 +26,7 @@ use crate::persist::{
 };
 use pb_core::QueryContext;
 use pb_dp::{BudgetLedger, Epsilon};
-use pb_fim::{TransactionDb, VerticalIndex};
+use pb_fim::TransactionDb;
 use pb_ldp::LdpChannel;
 use pb_proto::LdpParams;
 use pb_shard::{Fabric, FabricObserver, ShardedDb};
@@ -114,15 +115,6 @@ pub struct RecoveryReport {
     pub failed: Vec<(String, String)>,
 }
 
-/// How a registered dataset's rows are stored: one monolithic database, or the row
-/// shards alone. A sharded entry deliberately does NOT retain the unsharded original —
-/// keeping both would double resident row memory, defeating the point of sharding.
-#[derive(Debug)]
-enum StoredData {
-    Single(Arc<TransactionDb>),
-    Sharded(Arc<ShardedDb>),
-}
-
 /// Where a dataset's privacy accounting lives. The two workload classes are disjoint
 /// *by construction*: a central-mode entry owns a [`BudgetLedger`] every query debits,
 /// while an LDP entry owns only the debiasing [`LdpChannel`] — its ε was spent
@@ -162,16 +154,17 @@ fn channel_params(channel: &LdpChannel) -> LdpParams {
 #[derive(Debug)]
 pub struct DatasetEntry {
     name: String,
-    data: StoredData,
+    /// The rows, held only as shards (one when unsharded): never beside a second copy,
+    /// which would double resident row memory.
+    data: Arc<ShardedDb>,
     /// Row count, cached so `status` never touches the data.
     transactions: usize,
     /// Distinct-item count, cached for the same reason.
     distinct_items: usize,
-    /// Number of row shards the query context counts over (1 = single index).
+    /// Number of row shards the query context counts over (1 = unsharded).
     shards: usize,
-    /// Built on first use and shared by every later query: the index structures
-    /// (full vertical index, or one per shard) plus the memoized deterministic
-    /// precomputation the cold path would repeat per query.
+    /// Built on first use and shared by every later query: the per-shard indexes plus
+    /// the memoized deterministic precomputation the cold path would repeat per query.
     context: OnceLock<Arc<QueryContext>>,
     /// Central ledger or LDP channel (see [`PrivacyMode`]).
     mode: PrivacyMode,
@@ -203,23 +196,6 @@ impl DatasetEntry {
         self.source.as_deref()
     }
 
-    /// The monolithic transaction database — `None` for a sharded entry, whose rows
-    /// live in [`DatasetEntry::sharded_db`] (the unsharded original is not retained).
-    pub fn db(&self) -> Option<&Arc<TransactionDb>> {
-        match &self.data {
-            StoredData::Single(db) => Some(db),
-            StoredData::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded database — `None` for an unsharded entry.
-    pub fn sharded_db(&self) -> Option<&Arc<ShardedDb>> {
-        match &self.data {
-            StoredData::Single(_) => None,
-            StoredData::Sharded(s) => Some(s),
-        }
-    }
-
     /// Number of transactions in the dataset.
     pub fn transactions(&self) -> usize {
         self.transactions
@@ -244,21 +220,11 @@ impl DatasetEntry {
     /// of the (immutable) data and the recorded shard layout, so a recovered registry
     /// rebuilds it byte-identically.
     pub fn context(&self) -> &Arc<QueryContext> {
-        self.context.get_or_init(|| {
-            Arc::new(match &self.data {
-                StoredData::Single(db) => QueryContext::new(Arc::clone(db)),
-                StoredData::Sharded(sharded) => QueryContext::sharded(Arc::clone(sharded)),
-            })
-        })
+        self.context
+            .get_or_init(|| Arc::new(QueryContext::sharded(Arc::clone(&self.data))))
     }
 
-    /// The cached full vertical index (part of the context), building it on first call.
-    /// `None` for a sharded dataset — each shard owns its own index.
-    pub fn index(&self) -> Option<&Arc<VerticalIndex>> {
-        self.context().index()
-    }
-
-    /// True once the context (index included) has been built (tests, status endpoint).
+    /// True once the context (indexes included) has been built (tests, status endpoint).
     pub fn index_is_cached(&self) -> bool {
         self.context.get().is_some()
     }
@@ -340,37 +306,25 @@ impl DatasetEntry {
     /// query path snapshots this before the mechanism and aborts the release — before
     /// any ledger debit — if it moved.
     pub fn fabric_failures(&self) -> u64 {
-        match &self.data {
-            StoredData::Single(_) => 0,
-            StoredData::Sharded(sharded) => sharded.fabric_failures(),
-        }
+        self.data.fabric_failures()
     }
 
     /// Description of the most recent remote shard failure (empty if none).
     pub fn fabric_last_error(&self) -> String {
-        match &self.data {
-            StoredData::Single(_) => String::new(),
-            StoredData::Sharded(sharded) => sharded.fabric_last_error(),
-        }
+        self.data.fabric_last_error()
     }
 
     /// True while any of this dataset's remote shard workers is marked unhealthy
     /// (its last op failed). Clears as soon as an op against the worker succeeds.
     pub fn fabric_down(&self) -> bool {
-        match &self.data {
-            StoredData::Single(_) => false,
-            StoredData::Sharded(sharded) => sharded.fabric_down(),
-        }
+        self.data.fabric_down()
     }
 
     /// The remote shard fabric this dataset fans out over (`None` for all-local
     /// layouts). Observability only: the service hangs RPC observers and trace
     /// labels off it; the fabric never influences released bytes.
     pub fn fabric(&self) -> Option<&Arc<Fabric>> {
-        match &self.data {
-            StoredData::Single(_) => None,
-            StoredData::Sharded(sharded) => sharded.fabric(),
-        }
+        self.data.fabric()
     }
 
     /// Records one successfully answered query.
@@ -522,8 +476,9 @@ impl DatasetRegistry {
 
     /// Registers a dataset under `name` with a lifetime budget of `total_epsilon`.
     ///
-    /// The index is *not* built here — registration stays cheap and the first query (or
-    /// an explicit [`DatasetEntry::index`] call during warm-up) pays the build once.
+    /// The dataset is one shard that adopts `db`'s rows (no copy). Its index is *not*
+    /// built here — registration stays cheap and the first query (or an explicit
+    /// [`DatasetEntry::context`] call during warm-up) pays the build once.
     ///
     /// In a persistent registry the dataset's journal is opened (inheriting any durable
     /// spend recorded under this name) and the manifest is updated; datasets registered
@@ -851,14 +806,12 @@ impl DatasetRegistry {
         // and re-index takes seconds, and queries against every other dataset must not
         // stall behind it. No source file read: resharding works for inline datasets
         // and for files that have since moved.
-        let rows: Vec<pb_fim::ItemSet> = match &old.data {
-            StoredData::Single(db) => db.iter().cloned().collect(),
-            StoredData::Sharded(sharded) => sharded
-                .shards()
-                .iter()
-                .flat_map(|shard| shard.db().iter().cloned())
-                .collect(),
-        };
+        let rows: Vec<pb_fim::ItemSet> = old
+            .data
+            .shards()
+            .iter()
+            .flat_map(|shard| shard.db().iter().cloned())
+            .collect();
         let db = TransactionDb::from_itemsets(rows);
         // Re-place onto the same workers the old layout used: a reshard changes how
         // many shards exist, never where the operator asked them to live.
@@ -1354,23 +1307,23 @@ impl DatasetRegistry {
 }
 
 /// Partitions `db` into `shards` row shards and, when a placement is given, dials and
-/// seeds the remote workers (shard `i` → `workers[i]`, remaining shards local). With no
-/// workers a single shard stays a monolithic [`TransactionDb`]; with workers the sharded
-/// representation is kept even at `shards == 1` so the remote backend has a seam to live
-/// in. Placement is a pure execution knob — released bytes are identical for local,
+/// seeds the remote workers (shard `i` → `workers[i]`, remaining shards local).
+/// Placement is a pure execution knob — released bytes are identical for local,
 /// remote, and mixed layouts.
 fn partition_data(
     db: TransactionDb,
     shards: usize,
     workers: &[String],
     name: &str,
-) -> Result<StoredData, RegistryError> {
+) -> Result<Arc<ShardedDb>, RegistryError> {
+    // One shard adopts the rows as they are; more shards copy them into contiguous
+    // blocks and the source is dropped.
+    let sharded = match shards {
+        1 => ShardedDb::from_shards(vec![db]),
+        _ => ShardedDb::partition(&db, shards),
+    };
     if workers.is_empty() {
-        return Ok(if shards > 1 {
-            StoredData::Sharded(Arc::new(ShardedDb::partition(&db, shards)))
-        } else {
-            StoredData::Single(Arc::new(db))
-        });
+        return Ok(Arc::new(sharded));
     }
     let mut addrs = Vec::with_capacity(workers.len());
     for worker in workers {
@@ -1389,14 +1342,12 @@ fn partition_data(
             })?;
         addrs.push(addr);
     }
-    let sharded = ShardedDb::partition(&db, shards)
-        .with_workers(&addrs, name)
-        .map_err(|e| {
-            RegistryError::Io(format!(
-                "shard worker placement for dataset `{name}` failed: {e}"
-            ))
-        })?;
-    Ok(StoredData::Sharded(Arc::new(sharded)))
+    let sharded = sharded.with_workers(&addrs, name).map_err(|e| {
+        RegistryError::Io(format!(
+            "shard worker placement for dataset `{name}` failed: {e}"
+        ))
+    })?;
+    Ok(Arc::new(sharded))
 }
 
 fn epsilon_text(epsilon: Epsilon) -> String {
@@ -1563,6 +1514,15 @@ mod tests {
         assert_eq!(registry.reshard("z", 1).unwrap().shards(), 1);
     }
 
+    /// The vertical index of shard `i`, reached through the entry's cached context.
+    fn shard_index(entry: &DatasetEntry, i: usize) -> Arc<pb_fim::VerticalIndex> {
+        let sharded = entry
+            .context()
+            .sharded_db()
+            .expect("every context is sharded");
+        Arc::clone(sharded.shards()[i].index())
+    }
+
     #[test]
     fn index_builds_once_and_is_shared() {
         let registry = DatasetRegistry::new();
@@ -1570,9 +1530,9 @@ mod tests {
             .register("d", tiny_db(), Epsilon::Infinite)
             .unwrap();
         assert!(!entry.index_is_cached());
-        let a = Arc::clone(entry.index().expect("unsharded entries expose the index"));
+        let a = shard_index(&entry, 0);
         assert!(entry.index_is_cached());
-        let b = Arc::clone(entry.index().expect("unsharded entries expose the index"));
+        let b = shard_index(&entry, 0);
         assert!(Arc::ptr_eq(&a, &b), "second call must reuse the cache");
         assert_eq!(a.num_transactions(), 3);
     }
@@ -1583,11 +1543,11 @@ mod tests {
         let entry = registry
             .register("d", tiny_db(), Epsilon::Infinite)
             .unwrap();
-        let indexes: Vec<Arc<VerticalIndex>> = std::thread::scope(|scope| {
+        let indexes: Vec<Arc<pb_fim::VerticalIndex>> = std::thread::scope(|scope| {
             (0..8)
                 .map(|_| {
                     let entry = Arc::clone(&entry);
-                    scope.spawn(move || Arc::clone(entry.index().unwrap()))
+                    scope.spawn(move || shard_index(&entry, 0))
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
@@ -1629,11 +1589,8 @@ mod tests {
             .unwrap();
         assert_eq!(single.shards(), 1);
         assert_eq!(sharded.shards(), 4);
-        assert!(
-            sharded.index().is_none(),
-            "sharded entries have no single index"
-        );
-        assert!(single.index().is_some());
+        assert_eq!(single.context().num_shards(), 1);
+        assert_eq!(shard_index(&single, 0).num_transactions(), 200);
         assert_eq!(sharded.context().num_shards(), 4);
         let pb = PrivBasis::with_defaults();
         for seed in [1u64, 7] {
@@ -1881,10 +1838,14 @@ mod tests {
             assert_eq!(sa, sb);
             assert_eq!(ca.to_bits(), cb.to_bits());
         }
-        // Resharding back down to 1 restores a single index.
+        // Resharding back down to 1 leaves one shard indexing every row.
         let single = registry.reshard("d", 1).unwrap();
         assert_eq!(single.shards(), 1);
-        assert!(single.index().is_some());
+        assert_eq!(single.context().num_shards(), 1);
+        assert_eq!(
+            shard_index(&single, 0).num_transactions(),
+            single.transactions()
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::protocol::{
 };
 use crate::registry::{DatasetRegistry, RegistryError};
 use crate::telemetry::{PhaseBridge, ReqTrace};
-use pb_core::{NoopObserver, PrivBasis, PrivBasisParams};
+use pb_core::{CountTransform, NoopObserver, PhaseObserver, PrivBasis, PrivBasisParams};
 use pb_dp::{DpError, Epsilon};
 use pb_fim::TransactionDb;
 use pb_ldp::LdpChannel;
@@ -936,7 +936,8 @@ fn audit_query(
 /// *around* the existing calls, the RNG and every count are untouched, and the same
 /// `run_shared` mechanism executes whether or not a trace rides along (the observed
 /// variant differs only in reporting — asserted byte-identical by the pb-core
-/// `observe` tests and `tests/trace_invisibility.rs`).
+/// `observe` tests and `crates/service/tests/observability.rs::
+/// trace_op_returns_the_span_tree_and_never_perturbs_release_bytes`).
 fn run_query(query: &QueryRequest, ctx: &ServerCtx, trace: Option<&ReqTrace>) -> Response {
     if let Some(req) = trace {
         req.set_dataset(&query.dataset);
@@ -1019,42 +1020,27 @@ fn run_query(query: &QueryRequest, ctx: &ServerCtx, trace: Option<&ReqTrace>) ->
         params.consistency = None;
     }
     let pb = PrivBasis::new(params);
-    let result = match ldp {
-        Some(channel) => {
-            // Debias once, after the (possibly sharded, possibly remote) counts have
-            // merged: integer shard counts sum exactly, so the transform sees the
-            // same observed support for any shard count or placement — byte-identity
-            // of LDP releases is inherited from the central path's, not re-proven.
-            let n = entry.transactions() as u64;
-            let debias = move |itemset: &pb_fim::ItemSet, observed: f64| {
-                channel.debias(observed, n, itemset.len())
-            };
-            match trace {
-                Some(req) => pb.run_shared_transformed(
-                    &mut rng,
-                    &context,
-                    query.k,
-                    epsilon,
-                    &debias,
-                    &PhaseBridge { req },
-                ),
-                None => pb.run_shared_transformed(
-                    &mut rng,
-                    &context,
-                    query.k,
-                    epsilon,
-                    &debias,
-                    &NoopObserver,
-                ),
-            }
-        }
-        None => match trace {
-            Some(req) => {
-                pb.run_shared_observed(&mut rng, &context, query.k, epsilon, &PhaseBridge { req })
-            }
-            None => pb.run_shared(&mut rng, &context, query.k, epsilon),
-        },
+    // Debias once, after the (possibly sharded, possibly remote) counts have merged:
+    // integer shard counts sum exactly, so the transform sees the same observed support
+    // for any shard count or placement — byte-identity of LDP releases is inherited
+    // from the central path's, not re-proven.
+    let n = entry.transactions() as u64;
+    let debias = ldp.map(|channel| {
+        move |itemset: &pb_fim::ItemSet, observed: f64| channel.debias(observed, n, itemset.len())
+    });
+    let bridge = trace.map(|req| PhaseBridge { req });
+    let observer: &dyn PhaseObserver = match &bridge {
+        Some(bridge) => bridge,
+        None => &NoopObserver,
     };
+    let result = pb.run_shared_transformed(
+        &mut rng,
+        &context,
+        query.k,
+        epsilon,
+        debias.as_ref().map(|f| f as CountTransform<'_>),
+        observer,
+    );
     if let Some(fabric) = entry.fabric() {
         fabric.set_trace_label(None);
     }

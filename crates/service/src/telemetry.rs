@@ -12,7 +12,8 @@
 //! Observation is invisible in released bytes: every hook fires *after* the
 //! observed work committed its result, nothing here touches an RNG, a count, or a
 //! budget, and the pinned-seed goldens are asserted byte-identical with tracing
-//! on and off (`tests/trace_invisibility.rs`).
+//! on and off (`crates/service/tests/observability.rs::
+//! trace_op_returns_the_span_tree_and_never_perturbs_release_bytes`).
 
 use pb_trace::{Histogram, Span, Trace, TraceRing};
 use std::collections::{BTreeMap, HashMap};

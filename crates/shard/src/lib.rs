@@ -31,7 +31,8 @@
 //!
 //! This crate is deliberately privacy-free: it only counts. The noise, budget split, and
 //! selection mechanisms all live in `pb-core`/`pb-dp`, which consume these merges
-//! through `PrivBasis::run_sharded` and `QueryContext::sharded`.
+//! through `QueryContext`: every served dataset is a `ShardedDb`, and an unsharded
+//! one is simply a single shard.
 //!
 //! ## Quick example
 //!

@@ -18,9 +18,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(db: TransactionDb) -> Shard {
+    fn new(db: Arc<TransactionDb>) -> Shard {
         Shard {
-            db: db.into_shared(),
+            db,
             index: OnceLock::new(),
         }
     }
@@ -78,7 +78,9 @@ impl ShardedDb {
         let shards: Vec<Shard> = plan
             .boundaries(rows.len())
             .into_iter()
-            .map(|range| Shard::new(TransactionDb::from_itemsets(rows[range].to_vec())))
+            .map(|range| {
+                Shard::new(TransactionDb::from_itemsets(rows[range].to_vec()).into_shared())
+            })
             .collect();
         ShardedDb {
             plan,
@@ -93,14 +95,17 @@ impl ShardedDb {
 
     /// Assembles a sharded database from pre-split shards (e.g. one file per shard).
     /// Row order across shards is the concatenation order, matching an unsharded
-    /// database built from the same concatenation.
-    pub fn from_shards(shards: Vec<TransactionDb>) -> ShardedDb {
-        let num_transactions = shards.iter().map(TransactionDb::len).sum();
+    /// database built from the same concatenation. The shards are adopted as given —
+    /// owned or shared, never copied — so `from_shards(vec![db])` is the one-shard
+    /// layout of `db` at no extra row memory.
+    pub fn from_shards(shards: Vec<impl Into<Arc<TransactionDb>>>) -> ShardedDb {
         let shards: Vec<Shard> = shards
             .into_iter()
-            .filter(|db| !db.is_empty())
+            .map(Into::into)
+            .filter(|db: &Arc<TransactionDb>| !db.is_empty())
             .map(Shard::new)
             .collect();
+        let num_transactions = shards.iter().map(|s| s.db.len()).sum();
         ShardedDb {
             plan: ShardPlan::new(shards.len()),
             backends: all_local(shards.len()),
@@ -274,13 +279,17 @@ impl ShardedDb {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let per_shard = self
+        let mut per_shard = self
             .executor()
             .run(self.shards.len(), |s, _| match &self.backends[s] {
                 ShardBackend::Local => self.shards[s].index().supports(candidates),
                 ShardBackend::Remote(r) => r.supports(candidates),
-            });
-        let mut merged = vec![0usize; candidates.len()];
+            })
+            .into_iter();
+        // Summed into the first shard's result, so a single shard merges nothing.
+        let mut merged = per_shard
+            .next()
+            .unwrap_or_else(|| vec![0; candidates.len()]);
         for counts in per_shard {
             for (acc, c) in merged.iter_mut().zip(counts) {
                 *acc += c;
@@ -292,13 +301,14 @@ impl ShardedDb {
     /// Support counts of all unordered pairs over `items` with non-zero support — the
     /// same contract as [`TransactionDb::pair_counts`], merged by summation.
     pub fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
-        let per_shard = self
+        let mut per_shard = self
             .executor()
             .run(self.shards.len(), |s, _| match &self.backends[s] {
                 ShardBackend::Local => self.shards[s].index().pair_counts(items),
                 ShardBackend::Remote(r) => r.pair_counts(items),
-            });
-        let mut merged: BTreeMap<(Item, Item), usize> = BTreeMap::new();
+            })
+            .into_iter();
+        let mut merged = per_shard.next().unwrap_or_default();
         for counts in per_shard {
             for (pair, count) in counts {
                 *merged.entry(pair).or_insert(0) += count;
@@ -317,22 +327,19 @@ impl ShardedDb {
         if bases.is_empty() {
             return Vec::new();
         }
-        let per_shard =
-            self.executor()
-                .run(self.shards.len(), |s, inner| match &self.backends[s] {
-                    ShardBackend::Local => {
-                        let index = self.shards[s].index();
-                        bases
-                            .iter()
-                            .map(|b| index.bin_histogram_with_budget(b, inner))
-                            .collect::<Vec<_>>()
-                    }
-                    ShardBackend::Remote(r) => r.bin_histograms(bases),
-                });
-        let mut merged: Vec<Vec<u64>> = bases
-            .iter()
-            .map(|b| vec![0u64; 1usize << b.len()])
-            .collect();
+        let mut per_shard = self
+            .executor()
+            .run(self.shards.len(), |s, inner| match &self.backends[s] {
+                ShardBackend::Local => self.shards[s].index().bin_histograms(bases, inner),
+                ShardBackend::Remote(r) => r.bin_histograms(bases),
+            })
+            .into_iter();
+        let mut merged = per_shard.next().unwrap_or_else(|| {
+            bases
+                .iter()
+                .map(|b| vec![0u64; 1usize << b.len()])
+                .collect()
+        });
         for shard_hists in per_shard {
             for (acc, hist) in merged.iter_mut().zip(shard_hists) {
                 for (a, h) in acc.iter_mut().zip(hist) {

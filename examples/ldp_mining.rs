@@ -71,7 +71,7 @@ fn main() {
             &context,
             k,
             Epsilon::Infinite,
-            &debias,
+            Some(&debias),
             &NoopObserver,
         )
         .expect("parameters are valid");

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! privbasis-cli --input retail.dat --k 100 --epsilon 1.0 [--method pb|tf] [--seed 42]
-//!               [--m 2] [--rules 0.8] [--tsv] [--no-index] [--no-consistency]
+//!               [--m 2] [--rules 0.8] [--tsv] [--no-consistency] [--shards 4]
 //! privbasis-cli serve --port 8710 --dataset retail=retail.dat [--dataset web=web.dat]
 //!               [--budget 4.0] [--threads 8] [--host 127.0.0.1]
 //!               [--state-dir state/] [--snapshot-every 256]
@@ -48,7 +48,7 @@
 
 #![forbid(unsafe_code)]
 
-use privbasis::core::PrivBasisParams;
+use privbasis::core::{PrivBasisParams, QueryContext};
 use privbasis::dp::Epsilon;
 use privbasis::fim::io::read_fimi_file;
 use privbasis::fim::rules::generate_rules_from_noisy;
@@ -78,7 +78,6 @@ struct Options {
     tf_m: usize,
     rules_min_confidence: Option<f64>,
     tsv: bool,
-    no_index: bool,
     no_consistency: bool,
     /// Partition the rows into this many shards and count through the sharded engine
     /// (byte-identical output for a fixed seed; exercises the `pb-shard` fan-out).
@@ -127,7 +126,7 @@ struct WorkerOptions {
 
 const USAGE: &str = "usage: privbasis-cli --input <file.dat> --k <K> --epsilon <EPS>\n\
        [--method pb|tf] [--m <M>] [--seed <SEED>] [--rules <MIN_CONFIDENCE>] [--tsv]\n\
-       [--no-index] [--no-consistency] [--shards <S>]\n\
+       [--no-consistency] [--shards <S>]\n\
    or: privbasis-cli serve --port <PORT> --dataset <NAME>=<FILE.dat> [--dataset ...]\n\
        [--budget <EPS>] [--threads <N>] [--host <ADDR>] [--no-consistency]\n\
        [--state-dir <DIR>] [--snapshot-every <N>] [--shards <S>]\n\
@@ -149,8 +148,6 @@ const USAGE: &str = "usage: privbasis-cli --input <file.dat> --k <K> --epsilon <
   --seed     RNG seed (default 42)\n\
   --rules    also print association rules from the noisy release at this confidence\n\
   --tsv      machine-readable tab-separated output\n\
-  --no-index count with row scans instead of the vertical bitmap index (slower;\n\
-             same output for the same seed; ignored for tf)\n\
   --no-consistency\n\
              publish raw reconstructed counts without the consistency\n\
              post-processing of §4 (Hay et al.); default is on, as in the paper\n\
@@ -244,7 +241,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut tf_m = 2usize;
     let mut rules_min_confidence = None;
     let mut tsv = false;
-    let mut no_index = false;
     let mut no_consistency = false;
     let mut shards: Option<usize> = None;
 
@@ -300,7 +296,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--tsv" => tsv = true,
-            "--no-index" => no_index = true,
             "--no-consistency" => no_consistency = true,
             "--shards" => {
                 let n: usize = value("--shards")?
@@ -335,12 +330,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if tf_m == 0 {
         return Err("--m must be at least 1".to_string());
     }
-    if shards.is_some() && no_index {
-        return Err(
-            "--shards counts on per-shard indexes; it cannot be combined with --no-index"
-                .to_string(),
-        );
-    }
     if shards.is_some() && method == Method::TruncatedFrequency {
         return Err("--shards applies to the pb method only".to_string());
     }
@@ -353,7 +342,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         tf_m,
         rules_min_confidence,
         tsv,
-        no_index,
         no_consistency,
         shards,
     })
@@ -1125,7 +1113,7 @@ fn run_ldp(
     no_consistency: bool,
     seed: u64,
 ) -> Result<Vec<(ItemSet, f64)>, String> {
-    use privbasis::core::{NoopObserver, QueryContext};
+    use privbasis::core::NoopObserver;
     let rows: Vec<Vec<u32>> = db.iter().map(|t| t.iter().collect()).collect();
     // audit:allow(noise-seam): RNG construction only — the k-RR draws happen inside pb-ldp
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1149,7 +1137,7 @@ fn run_ldp(
             &context,
             k,
             Epsilon::Infinite,
-            &debias,
+            Some(&debias),
             &NoopObserver,
         )
         .map_err(|e| e.to_string())?;
@@ -1209,7 +1197,6 @@ fn eval_grid(options: &EvalOptions, db: &TransactionDb) -> Result<Vec<EvalCell>,
                         tf_m: options.tf_m,
                         rules_min_confidence: None,
                         tsv: false,
-                        no_index: false,
                         no_consistency: options.no_consistency,
                         shards: None,
                     },
@@ -1336,7 +1323,6 @@ fn run(options: &Options, db: &TransactionDb) -> Result<Vec<(ItemSet, f64)>, Str
     match options.method {
         Method::PrivBasis => {
             let params = PrivBasisParams {
-                use_index: !options.no_index,
                 consistency: if options.no_consistency {
                     None
                 } else {
@@ -1345,12 +1331,13 @@ fn run(options: &Options, db: &TransactionDb) -> Result<Vec<(ItemSet, f64)>, Str
                 ..Default::default()
             };
             let pb = PrivBasis::new(params);
-            let out = match options.shards.filter(|&s| s > 1) {
+            let out = match options.shards {
                 // Row-sharded engine: per-shard counting, summed merges, noise drawn
                 // once on the merged counts — byte-identical to the unsharded run.
                 Some(shards) => {
-                    let sharded = ShardedDb::partition(db, shards);
-                    pb.run_sharded(&mut rng, &sharded, options.k, epsilon)
+                    let context =
+                        QueryContext::sharded(ShardedDb::partition(db, shards).into_shared());
+                    pb.run_shared(&mut rng, &context, options.k, epsilon)
                 }
                 None => pb.run(&mut rng, db, options.k, epsilon),
             }
@@ -1544,7 +1531,6 @@ mod tests {
         assert_eq!(o.epsilon, 0.5);
         assert_eq!(o.method, Method::PrivBasis);
         assert!(!o.tsv);
-        assert!(!o.no_index);
         assert!(!o.no_consistency);
         assert_eq!(o.seed, 42);
     }
@@ -1567,7 +1553,6 @@ mod tests {
             "--rules",
             "0.8",
             "--tsv",
-            "--no-index",
             "--no-consistency",
         ]))
         .unwrap();
@@ -1576,7 +1561,6 @@ mod tests {
         assert_eq!(o.seed, 7);
         assert_eq!(o.rules_min_confidence, Some(0.8));
         assert!(o.tsv);
-        assert!(o.no_index);
         assert!(o.no_consistency);
         assert!(o.epsilon.is_infinite());
     }
@@ -1595,7 +1579,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(o.shards, Some(4));
-        // Zero shards, sharded row scans, and sharded TF are all rejected.
+        // Zero shards and sharded TF are rejected.
         assert!(parse_args(&args(&[
             "--input",
             "x",
@@ -1605,18 +1589,6 @@ mod tests {
             "1",
             "--shards",
             "0",
-        ]))
-        .is_err());
-        assert!(parse_args(&args(&[
-            "--input",
-            "x",
-            "--k",
-            "5",
-            "--epsilon",
-            "1",
-            "--shards",
-            "2",
-            "--no-index",
         ]))
         .is_err());
         assert!(parse_args(&args(&[
@@ -2222,24 +2194,12 @@ mod tests {
             tf_m: 2,
             rules_min_confidence: None,
             tsv: false,
-            no_index: false,
             no_consistency: false,
             shards: None,
         };
         let pb = run(&base, &db).unwrap();
         assert_eq!(pb.len(), 3);
         assert!((pb[0].1 - db.support(&pb[0].0) as f64).abs() < 1e-9);
-
-        // --no-index routes through the row-scan engine; output is identical for the seed.
-        let pb_naive = run(
-            &Options {
-                no_index: true,
-                ..base.clone()
-            },
-            &db,
-        )
-        .unwrap();
-        assert_eq!(pb, pb_naive);
 
         // --shards routes through the sharded engine; output is identical for the seed.
         let pb_sharded = run(

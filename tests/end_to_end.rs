@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: synthetic dataset profiles → PrivBasis / TF → utility
 //! metrics. These exercise the same pipeline the experiment harness uses, at a small scale.
 
+use privbasis::core::QueryContext;
 use privbasis::datagen::DatasetProfile;
 use privbasis::fim::topk::top_k_itemsets;
 use privbasis::metrics::{false_negative_rate, relative_error, PublishedItemset};
 use privbasis::tf::{TfConfig, TfMethod};
-use privbasis::{Epsilon, PrivBasis, PrivBasisParams};
+use privbasis::{Epsilon, PrivBasis, PrivBasisParams, ShardedDb};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn publish(out: &[(privbasis::ItemSet, f64)]) -> Vec<PublishedItemset> {
     out.iter()
@@ -31,35 +33,36 @@ fn privbasis_noiseless_recovers_topk_on_mushroom_profile() {
 }
 
 #[test]
-fn indexed_and_naive_engines_agree_end_to_end_on_profiles() {
-    // The vertical-index engine must be a pure performance change: for the same seed the
-    // whole pipeline (λ, selection, basis construction, noisy counts, top-k) is
-    // byte-identical with and without the index, on both a dense and a sparse profile.
+fn one_shot_and_context_runs_agree_end_to_end_on_profiles() {
+    // Serving through a cached context must be a pure performance change: for the same
+    // seed the whole pipeline (λ, selection, basis construction, noisy counts, top-k)
+    // is byte-identical between the one-shot run and a context over the same rows —
+    // unsharded (one shard) or split into four — on a dense and a sparse profile.
     for (profile, scale, k) in [
         (DatasetProfile::Mushroom, 0.05, 25usize),
         (DatasetProfile::Retail, 0.02, 20usize),
     ] {
         let db = profile.generate(scale, 5);
-        let indexed = PrivBasis::with_defaults();
-        let naive = PrivBasis::new(PrivBasisParams {
-            use_index: false,
-            ..Default::default()
-        });
+        let pb = PrivBasis::with_defaults();
+        let unsharded = QueryContext::new(Arc::new(db.clone()));
+        let four_shards = QueryContext::sharded(ShardedDb::partition(&db, 4).into_shared());
         for seed in [1u64, 77] {
             for eps in [Epsilon::Finite(0.5), Epsilon::Infinite] {
-                let a = indexed
+                let a = pb
                     .run(&mut StdRng::seed_from_u64(seed), &db, k, eps)
                     .unwrap();
-                let b = naive
-                    .run(&mut StdRng::seed_from_u64(seed), &db, k, eps)
-                    .unwrap();
-                assert_eq!(a.lambda, b.lambda);
-                assert_eq!(a.frequent_items, b.frequent_items);
-                assert_eq!(a.basis_set, b.basis_set);
-                assert_eq!(a.itemsets.len(), b.itemsets.len());
-                for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
-                    assert_eq!(sa, sb);
-                    assert_eq!(ca.to_bits(), cb.to_bits(), "count mismatch for {sa:?}");
+                for context in [&unsharded, &four_shards] {
+                    let b = pb
+                        .run_shared(&mut StdRng::seed_from_u64(seed), context, k, eps)
+                        .unwrap();
+                    assert_eq!(a.lambda, b.lambda);
+                    assert_eq!(a.frequent_items, b.frequent_items);
+                    assert_eq!(a.basis_set, b.basis_set);
+                    assert_eq!(a.itemsets.len(), b.itemsets.len());
+                    for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
+                        assert_eq!(sa, sb);
+                        assert_eq!(ca.to_bits(), cb.to_bits(), "count mismatch for {sa:?}");
+                    }
                 }
             }
         }
