@@ -205,40 +205,17 @@ impl PrivBasis {
         )
     }
 
-    /// [`PrivBasis::run`] against a [`ShardedDb`]: every exact count — item supports,
-    /// pair supports, θ-candidate supports, and the `BasisFreq` bin histograms — is
-    /// computed per shard and merged by summation, and the Laplace noise is drawn once,
-    /// on the merged histograms, in the same fixed order as the unsharded engine.
-    ///
-    /// For a fixed seed the output is byte-identical to [`PrivBasis::run`] on the
-    /// unsharded concatenation of the shards, for **any** shard count (property-tested
-    /// in `tests/proptest_sharded.rs`). [`PrivBasis::run_shared`] over
-    /// [`QueryContext::sharded`](crate::context::QueryContext::sharded) is the same
-    /// engine with the deterministic precomputation memoized across queries.
-    pub fn run_sharded<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sharded: &ShardedDb,
-        k: usize,
-        epsilon: Epsilon,
-    ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            Engine::Sharded(sharded),
-            sharded.items_by_frequency(),
-            |k1| sharded.kth_support_count(k1),
-            k,
-            epsilon,
-            None,
-            &NoopObserver,
-        )
-    }
-
     /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext): the
     /// per-shard indexes *and* the memoized deterministic precomputation
     /// (items-by-frequency, per-`k1` θ counts) are all reused, leaving only the private
-    /// mechanisms and the bin counting on the per-query path. Byte-identical to
-    /// [`PrivBasis::run`] on the context's rows for the same seed.
+    /// mechanisms and the bin counting on the per-query path.
+    ///
+    /// Every exact count — item supports, pair supports, θ-candidate supports, and the
+    /// `BasisFreq` bin histograms — is computed per shard and merged by summation, and
+    /// the Laplace noise is drawn once, on the merged histograms, in the same fixed
+    /// order as the one-shot engine. For a fixed seed the output is byte-identical to
+    /// [`PrivBasis::run`] on the context's rows, for **any** shard count
+    /// (property-tested in `tests/proptest_sharded.rs`).
     pub fn run_shared<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -864,11 +841,13 @@ mod tests {
                     )
                     .unwrap();
                 for shards in [1usize, 2, 8] {
-                    let sharded = pb_shard::ShardedDb::partition(&db, shards);
+                    let context = crate::context::QueryContext::sharded(std::sync::Arc::new(
+                        pb_shard::ShardedDb::partition(&db, shards),
+                    ));
                     let out = pb
-                        .run_sharded(
+                        .run_shared(
                             &mut StdRng::seed_from_u64(seed),
-                            &sharded,
+                            &context,
                             k,
                             Epsilon::Finite(0.8),
                         )

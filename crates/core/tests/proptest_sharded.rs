@@ -1,14 +1,16 @@
-//! Property test: `PrivBasis::run_sharded` is byte-identical to `PrivBasis::run` on the
-//! unsharded database for shard counts 1..=8 and pinned seeds — with the consistency
-//! pass in its default-on configuration and with it disabled.
+//! Property test: `PrivBasis::run_shared` over a sharded `QueryContext` is
+//! byte-identical to `PrivBasis::run` on the unsharded database for shard counts 1..=8
+//! and pinned seeds — with the consistency pass in its default-on configuration and
+//! with it disabled.
 
-use pb_core::{PrivBasis, PrivBasisParams};
+use pb_core::{PrivBasis, PrivBasisParams, QueryContext};
 use pb_dp::Epsilon;
 use pb_fim::TransactionDb;
 use pb_shard::ShardedDb;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Non-empty databases: 1..40 transactions over up to 10 items, with at least one
 /// non-empty row guaranteed by appending a fixed one.
@@ -33,9 +35,9 @@ proptest! {
         };
         let eps = Epsilon::Finite(0.6);
         let reference = pb.run(&mut StdRng::seed_from_u64(seed), &db, k, eps).unwrap();
-        let sharded = ShardedDb::partition(&db, shards);
+        let context = QueryContext::sharded(Arc::new(ShardedDb::partition(&db, shards)));
         let out = pb
-            .run_sharded(&mut StdRng::seed_from_u64(seed), &sharded, k, eps)
+            .run_shared(&mut StdRng::seed_from_u64(seed), &context, k, eps)
             .unwrap();
         prop_assert_eq!(reference.lambda, out.lambda);
         prop_assert_eq!(reference.lambda2, out.lambda2);

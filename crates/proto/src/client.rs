@@ -11,11 +11,12 @@
 //! through raw lines.
 
 use crate::error::{ErrorCode, WireError};
+use crate::frame::write_line;
 use crate::message::{
     AdminReply, Envelope, Op, PerturbRequest, QueryReply, QueryRequest, RegisterLdpRequest,
     RegisterRequest, Response, StatusReply,
 };
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -112,8 +113,7 @@ pub struct PbClient {
 impl PbClient {
     /// Connects to a server with the [`DEFAULT_READ_TIMEOUT`] and no retry policy.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<PbClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
+        let stream = dial(addr, Some(DEFAULT_READ_TIMEOUT))?;
         Ok(PbClient {
             reader: BufReader::new(stream.try_clone()?),
             addr: stream.peer_addr()?,
@@ -157,8 +157,7 @@ impl PbClient {
     /// Drops the current connection and dials the same peer again (the old socket may
     /// hold a half-read response, so retries never reuse it).
     fn reconnect(&mut self) -> io::Result<()> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(self.read_timeout)?;
+        let stream = dial(self.addr, self.read_timeout)?;
         self.reader = BufReader::new(stream.try_clone()?);
         self.writer = stream;
         Ok(())
@@ -181,9 +180,11 @@ impl PbClient {
     /// Sends one raw request line and returns the raw response line (trailing newline
     /// trimmed). The escape hatch for byte-identity tests and protocol debugging; the
     /// typed methods below cover everything else.
+    ///
+    /// A `line` containing `\n` is refused with [`io::ErrorKind::InvalidInput`] before
+    /// any byte is sent (see [`write_line`]), so the connection stays in step.
     pub fn raw_line(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -501,6 +502,16 @@ impl PbClient {
     }
 }
 
+/// Dials `addr` for a protocol connection: `TCP_NODELAY` on (every message already
+/// leaves in one write, so Nagle has nothing to coalesce and would only hold a tail
+/// behind the peer's delayed ACK) and the given read timeout.
+fn dial(addr: impl ToSocketAddrs, read_timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    Ok(stream)
+}
+
 /// The un-jittered exponential delay for retry `attempt`: `min(max_delay,
 /// base_delay · 2^(attempt-1))`, clamped at the ceiling for any shift width.
 ///
@@ -532,6 +543,18 @@ fn retryable(e: &ClientError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connect_and_reconnect_sockets_run_with_nodelay() {
+        // Unaccepted connections still complete the handshake into the backlog.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = PbClient::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        client.reconnect().unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 
     #[test]
     fn backoff_is_total_over_the_attempt_domain() {

@@ -1,9 +1,9 @@
 //! # pb-proto — the versioned, typed wire protocol of the PrivBasis serving layer
 //!
 //! This crate is the single source of truth for what travels between a PrivBasis server
-//! and its clients: the JSON framing ([`json`]), the request envelope and operation
-//! model ([`message`]), the exhaustive error-code table ([`error`]), and a typed
-//! blocking client ([`client`]). It is std-only and dependency-free, so anything — the
+//! and its clients: the JSON encoding ([`json`]), the one-write line framing
+//! ([`frame`]), the request envelope and operation model ([`message`]), the exhaustive
+//! error-code table ([`error`]), and a typed blocking client ([`client`]). It is std-only and dependency-free, so anything — the
 //! server, test harnesses, operator tooling — can embed it without pulling the mining
 //! engine along.
 //!
@@ -26,11 +26,13 @@
 
 pub mod client;
 pub mod error;
+pub mod frame;
 pub mod json;
 pub mod message;
 
 pub use client::{ClientError, PbClient, RetryPolicy, DEFAULT_READ_TIMEOUT};
 pub use error::{ErrorCode, WireError, ALL_ERROR_CODES};
+pub use frame::write_line;
 pub use json::{Json, JsonError};
 pub use message::{
     AdminReply, AuditSummary, DatasetStatus, Envelope, JournalMetrics, LdpParams, Op, ParseFailure,

@@ -29,7 +29,7 @@ use crate::server::{execute, is_shutting_down, ServerCtx, POLL_INTERVAL};
 use crate::telemetry::ReqTrace;
 use pb_proto::Json;
 use pb_trace::HistogramSnapshot;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -177,14 +177,13 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// closes (or asks to), the idle timeout fires, the server shuts down, or a request is
 /// unparseable. Mirrors the TCP loop's shutdown-aware chunked reads.
 pub(crate) fn serve_http(
-    stream: TcpStream,
+    mut stream: TcpStream,
     ctx: &ServerCtx,
     read_timeout: Option<Duration>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_write_timeout(ctx.write_timeout)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     let mut idle = Duration::ZERO;
     loop {
@@ -198,7 +197,7 @@ pub(crate) fn serve_http(
                     ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
                     let body = Response::Error(WireError::malformed(message))
                         .encode(PROTOCOL_VERSION, None);
-                    write_response(&mut writer, 400, "application/json", body.as_bytes(), false)?;
+                    write_response(&mut stream, 400, "application/json", body.as_bytes(), false)?;
                     return Ok(());
                 }
                 Ok(None) => break,
@@ -209,7 +208,7 @@ pub(crate) fn serve_http(
                     let (status, content_type, body) = route(&request, ctx);
                     let written = pb_fault::inject!("conn.write").and_then(|()| {
                         write_response(
-                            &mut writer,
+                            &mut stream,
                             status,
                             content_type,
                             body.as_bytes(),
@@ -365,22 +364,25 @@ fn body_json(request: &HttpRequest) -> Result<Json, WireError> {
     Json::parse(text).map_err(|e| WireError::malformed(e.to_string()))
 }
 
+/// Writes one response — head and body built into one buffer and sent in one
+/// `write_all`, so no part of it waits behind the client's delayed ACK.
 fn write_response(
-    writer: &mut BufWriter<TcpStream>,
+    stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        writer,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    writer.write_all(body)?;
-    writer.flush()
+    );
+    let mut response = Vec::with_capacity(head.len() + body.len());
+    response.extend_from_slice(head.as_bytes());
+    response.extend_from_slice(body);
+    stream.write_all(&response)
 }
 
 fn reason(status: u16) -> &'static str {

@@ -33,11 +33,11 @@ use pb_core::{CountTransform, NoopObserver, PhaseObserver, PrivBasis, PrivBasisP
 use pb_dp::{DpError, Epsilon};
 use pb_fim::TransactionDb;
 use pb_ldp::LdpChannel;
-use pb_proto::AuditSummary;
+use pb_proto::{write_line, AuditSummary};
 use pb_trace::Span;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -315,6 +315,7 @@ impl PbServer {
                                 shed_http(stream, &ctx);
                                 continue;
                             }
+                            set_nodelay(&stream);
                             ctx.queued.fetch_add(1, Ordering::SeqCst);
                             if sender.send(Conn::Http(stream)).is_err() {
                                 break;
@@ -337,6 +338,7 @@ impl PbServer {
                         shed_line(stream, &ctx);
                         continue;
                     }
+                    set_nodelay(&stream);
                     ctx.queued.fetch_add(1, Ordering::SeqCst);
                     let conn = LineConn {
                         stream,
@@ -372,6 +374,14 @@ const FAST_POLL: Duration = Duration::from_millis(5);
 /// How long a shed response may block before the connection is abandoned outright.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Turns Nagle off on an admitted connection. Every reply already leaves in one write
+/// (one line, or one HTTP head+body buffer), so coalescing has nothing to gain and
+/// would only hold a reply's tail until the client's delayed ACK (40 ms on Linux).
+/// Best effort: a socket that refuses the option still serves correctly.
+fn set_nodelay(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+}
+
 /// Sheds one line-protocol connection at accept: best effort structured refusal (v1
 /// shape — the request was never read, so there is no id to echo), then close.
 fn shed_line(mut stream: TcpStream, ctx: &ServerCtx) {
@@ -382,7 +392,7 @@ fn shed_line(mut stream: TcpStream, ctx: &ServerCtx) {
         "server is at capacity (max-pending reached); retry after a short backoff",
     ))
     .encode(1, None);
-    let _ = writeln!(stream, "{response}");
+    let _ = write_line(&mut stream, &response);
 }
 
 /// Sheds one HTTP connection at accept: `503` with `Retry-After`, then close.
@@ -391,12 +401,12 @@ fn shed_http(mut stream: TcpStream, ctx: &ServerCtx) {
     let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let body =
         r#"{"status":"error","code":"unavailable","error":"server is at capacity; retry shortly"}"#;
-    let _ = write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         body.len(),
         body
     );
+    let _ = stream.write_all(response.as_bytes());
 }
 
 /// Pulls connections until shutdown. Parked (idle) connections are re-queued so the
@@ -458,12 +468,11 @@ const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// an idle client still notices the shutdown flag promptly.
 fn serve_connection(conn: LineConn, ctx: &ServerCtx) -> std::io::Result<Served> {
     let LineConn {
-        stream,
+        mut stream,
         mut last_done,
     } = conn;
     stream.set_write_timeout(ctx.write_timeout)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     let mut line: Vec<u8> = Vec::new();
     loop {
         // Rotate fast when the queue is non-empty: camping a full poll interval on an
@@ -496,8 +505,7 @@ fn serve_connection(conn: LineConn, ctx: &ServerCtx) -> std::io::Result<Served> 
                     ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
                     let response = Response::Error(WireError::malformed("request line too long"))
                         .encode(1, None);
-                    writeln!(writer, "{response}")?;
-                    writer.flush()?;
+                    write_line(&mut stream, &response)?;
                     return Ok(Served::Done);
                 }
                 if !found_newline {
@@ -509,8 +517,7 @@ fn serve_connection(conn: LineConn, ctx: &ServerCtx) -> std::io::Result<Served> 
                 if !trimmed.is_empty() {
                     let (response, shutdown) = dispatch(trimmed, ctx);
                     let written = pb_fault::inject!("conn.write")
-                        .and_then(|()| writeln!(writer, "{response}"))
-                        .and_then(|()| writer.flush());
+                        .and_then(|()| write_line(&mut stream, &response));
                     if let Err(e) = written {
                         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                             // The peer accepted no bytes for the whole write deadline.
@@ -545,7 +552,6 @@ fn serve_connection(conn: LineConn, ctx: &ServerCtx) -> std::io::Result<Served> 
                 // reader — parking would drop its buffered bytes.
                 if line.is_empty() && reader.buffer().is_empty() {
                     drop(reader);
-                    let stream = writer.into_inner().map_err(|e| e.into_error())?;
                     return Ok(Served::Parked(LineConn { stream, last_done }));
                 }
             }
