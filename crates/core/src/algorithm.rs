@@ -12,7 +12,7 @@
 //! 5. **BasisFreq** (α₃ε) — noisy bin counts, reconstruction, top-`k` selection.
 
 use crate::basis::BasisSet;
-use crate::consistency::enforce_consistency;
+use crate::consistency::enforce_consistency_in_place;
 use crate::construct::construct_basis_set;
 use crate::freq::{basis_freq_counts_with_histograms, NoisyCandidateCounts};
 use crate::observe::{NoopObserver, PhaseObserver};
@@ -424,8 +424,7 @@ impl PrivBasis {
         obs.phase("reconstruct", merge_end, obs.now());
         if let Some(options) = self.params.consistency {
             let t_consistency = obs.now();
-            let adjusted = enforce_consistency(&counts, n, options);
-            counts.apply_adjusted_counts(&adjusted);
+            enforce_consistency_in_place(&mut counts, n, options);
             obs.phase("consistency", t_consistency, obs.now());
         }
         if let Some(f) = transform {

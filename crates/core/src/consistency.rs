@@ -22,12 +22,23 @@
 //! cleanup sweep from long to short itemsets that raises any still-violated parent to the
 //! maximum of its children (the direction that corrects high-variance estimates with
 //! low-variance ones).
+//!
+//! ## In place on the lattice
+//!
+//! [`enforce_consistency_in_place`] runs on the candidate lattice of
+//! [`NoisyCandidateCounts`] (see the `freq` module docs): candidate ids are in
+//! `ItemSet` order, so the children's (length, itemset) visit order is a stable sort of
+//! the ids by length, and each child's parents come from its CSR list in ascending
+//! removed-item order. Counts are rewritten in their `Vec<f64>`; variances are read,
+//! never written. [`enforce_consistency`] is a thin wrapper for callers that want a map:
+//! it runs the same pass on a clone.
 
 use crate::freq::NoisyCandidateCounts;
 use pb_fim::itemset::ItemSet;
 use std::collections::BTreeMap;
 
-/// Options for [`enforce_consistency`].
+/// Options for [`enforce_consistency_in_place`] (and its map-returning wrapper
+/// [`enforce_consistency`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyOptions {
     /// Clamp counts into `[0, N]`.
@@ -52,7 +63,8 @@ impl Default for ConsistencyOptions {
     }
 }
 
-/// Returns a consistency-adjusted copy of the noisy counts as a plain map.
+/// Returns a consistency-adjusted copy of the noisy counts as a plain map: clones the
+/// table, runs [`enforce_consistency_in_place`] on the clone and collects its counts.
 ///
 /// `num_transactions` is the public database size used for range clamping (pass the noisy `N`
 /// if the size itself is private).
@@ -61,47 +73,56 @@ pub fn enforce_consistency(
     num_transactions: usize,
     options: ConsistencyOptions,
 ) -> BTreeMap<ItemSet, f64> {
-    let mut adjusted: BTreeMap<ItemSet, f64> =
-        counts.iter().map(|(s, e)| (s.clone(), e.count)).collect();
+    let mut adjusted = counts.clone();
+    enforce_consistency_in_place(&mut adjusted, num_transactions, options);
+    adjusted.iter().map(|(s, e)| (s.clone(), e.count)).collect()
+}
+
+/// Rewrites the candidate counts with their consistency-adjusted values, in place on the
+/// lattice (variances are kept: they describe the noise that was added, which
+/// post-processing does not change).
+///
+/// `num_transactions` is the public database size used for range clamping.
+pub fn enforce_consistency_in_place(
+    table: &mut NoisyCandidateCounts,
+    num_transactions: usize,
+    options: ConsistencyOptions,
+) {
+    let (adjusted, lattice) = table.counts_and_lattice();
+    let n = num_transactions as f64;
 
     if options.clamp_range {
-        let n = num_transactions as f64;
-        for v in adjusted.values_mut() {
+        for v in adjusted.iter_mut() {
             *v = v.clamp(0.0, n);
         }
     }
 
     if options.enforce_monotonicity {
-        let mut sets: Vec<ItemSet> = adjusted.keys().cloned().collect();
-        sets.sort_by(|a, b| a.len().cmp(&b.len()).then(a.cmp(b)));
-        // Relative noise variance of each candidate ("bin units"); equal weights when the
-        // caller built the table without variance information.
-        let variance = |s: &ItemSet| counts.get(s).map_or(1.0, |e| e.variance_units.max(1e-12));
+        // Children in (len, itemset) order: ids are in itemset order, so a stable sort by
+        // length. Singletons have no candidate parents and are left out.
+        let sets = lattice.sets;
+        let mut children: Vec<usize> = (0..sets.len()).filter(|&c| sets[c].len() >= 2).collect();
+        children.sort_by_key(|&c| sets[c].len());
+        // Relative noise variance of each candidate ("bin units").
+        let variance = |c: usize| lattice.variances[c].max(1e-12);
 
         // Phase 1 — weighted pairwise projections, `sweeps` rounds: a violated pair
         // (parent below child) splits the excess in proportion to the two variances, so
         // the noisier endpoint moves more. Overlapping constraints interact, hence the
         // Dykstra-style iteration rather than a single pass.
         for _ in 0..options.sweeps {
-            for child in &sets {
-                if child.len() < 2 {
-                    continue;
-                }
-                for item in child.iter() {
-                    let parent = child.without_item(item);
-                    let Some(&parent_count) = adjusted.get(&parent) else {
-                        continue;
-                    };
+            for &child in &children {
+                for &parent in lattice.parents_of(child) {
+                    let parent = parent as usize;
+                    let parent_count = adjusted[parent];
                     let child_count = adjusted[child];
                     let excess = child_count - parent_count;
                     if excess <= 0.0 {
                         continue;
                     }
-                    let parent_share = variance(&parent) / (variance(&parent) + variance(child));
-                    *adjusted.get_mut(&parent).expect("parent key exists") =
-                        parent_count + excess * parent_share;
-                    *adjusted.get_mut(child).expect("child key exists") =
-                        child_count - excess * (1.0 - parent_share);
+                    let parent_share = variance(parent) / (variance(parent) + variance(child));
+                    adjusted[parent] = parent_count + excess * parent_share;
+                    adjusted[child] = child_count - excess * (1.0 - parent_share);
                 }
             }
         }
@@ -110,17 +131,12 @@ pub fn enforce_consistency(
         // below one of its children. Children of length ℓ+1 are final before any length-ℓ
         // candidate is visited as a child itself, and candidates are only ever raised, so
         // a single pass leaves zero violations.
-        for child in sets.iter().rev() {
-            if child.len() < 2 {
-                continue;
-            }
+        for &child in children.iter().rev() {
             let child_count = adjusted[child];
-            for item in child.iter() {
-                let parent = child.without_item(item);
-                if let Some(parent_count) = adjusted.get_mut(&parent) {
-                    if *parent_count < child_count {
-                        *parent_count = child_count;
-                    }
+            for &parent in lattice.parents_of(child) {
+                let parent_count = &mut adjusted[parent as usize];
+                if *parent_count < child_count {
+                    *parent_count = child_count;
                 }
             }
         }
@@ -128,14 +144,11 @@ pub fn enforce_consistency(
         // The projections and raises can push counts (slightly) outside [0, N]; re-clamp.
         // Clamping is monotone, so it cannot reintroduce violations.
         if options.clamp_range {
-            let n = num_transactions as f64;
-            for v in adjusted.values_mut() {
+            for v in adjusted.iter_mut() {
                 *v = v.clamp(0.0, n);
             }
         }
     }
-
-    adjusted
 }
 
 /// Counts how many (parent ⊂ child within `C(B)`) monotonicity violations remain in a count

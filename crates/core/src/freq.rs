@@ -36,21 +36,73 @@
 //! The superset sums are computed either naively (the paper's `O(3^ℓ)` per basis) or with a
 //! superset zeta transform (`O(ℓ·2^ℓ)`); both are exposed and tested to agree, and compared in
 //! the `reconstruction` benchmark.
+//!
+//! ## The candidate lattice
+//!
+//! [`NoisyCandidateCounts`] is one flat table, built once per query by the
+//! reconstruction and then updated in place by the consistency pass
+//! ([`crate::consistency::enforce_consistency_in_place`]):
+//!
+//! * **Ids in `ItemSet` order.** Every candidate appears once, ascending in `ItemSet`
+//!   order; its position is its id, and its count and variance sit at that index of two
+//!   parallel `Vec<f64>`s. `iter` walks the ids, `get` binary-searches the itemsets, and
+//!   `top_k` ranks ids and clones only the winners.
+//! * **Deduplication by a stable sort.** The `(basis, mask)` entries of all bases are
+//!   stably sorted by their item lists, so a candidate covered by several bases gets one
+//!   id and its estimates merge in basis order — the inverse-variance fold of lines
+//!   16–23 of Algorithm 1, term for term.
+//! * **Parent edges from basis masks.** Each basis keeps a mask → id table while the
+//!   lattice is built; the parent of `(basis i, mask m)` through bit `b` is
+//!   `table_i[m & !(1 << b)]`. Each candidate's parent ids (one per item, ascending
+//!   removed item) are stored as a CSR list, so the consistency pass follows an edge
+//!   with two array reads — no itemset is allocated and no map searched.
 
 use crate::basis::BasisSet;
 use pb_dp::{Epsilon, LaplaceNoise};
 use pb_fim::itemset::{Item, ItemSet};
 use pb_fim::{TransactionDb, VerticalIndex};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Maximum supported basis length (bin vectors are indexed by `u32`-sized masks).
 pub const MAX_SUPPORTED_BASIS_LEN: usize = 20;
 
-/// Noisy counts (and relative variances) for every candidate itemset in `C(B)`.
+/// Noisy counts (and relative variances) for every candidate itemset in `C(B)`, laid out
+/// as the dense candidate lattice described in the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct NoisyCandidateCounts {
-    entries: BTreeMap<ItemSet, CandidateEstimate>,
+    /// Every candidate once, ascending in `ItemSet` order; a candidate's position here is
+    /// its id, which indexes the parallel vectors below.
+    sets: Vec<ItemSet>,
+    /// Noisy count of each candidate.
+    counts: Vec<f64>,
+    /// Relative variance of each candidate's estimate, in bin units.
+    variances: Vec<f64>,
+    /// CSR offsets into `parents`: candidate `c`'s parents are
+    /// `parents[parent_start[c]..parent_start[c + 1]]`.
+    parent_start: Vec<u32>,
+    /// Parent ids: for a candidate `X` with `|X| ≥ 2`, the ids of `X \ {x}` for each
+    /// `x ∈ X` in ascending item order; singletons have none (the empty set is not a
+    /// candidate).
+    parents: Vec<u32>,
+}
+
+/// The read-only structure of a [`NoisyCandidateCounts`] lattice: what the consistency
+/// pass walks while it rewrites the counts.
+pub(crate) struct Lattice<'a> {
+    /// The candidates, indexed by id (ascending `ItemSet` order).
+    pub(crate) sets: &'a [ItemSet],
+    /// Relative variance of each candidate, indexed by id.
+    pub(crate) variances: &'a [f64],
+    parent_start: &'a [u32],
+    parents: &'a [u32],
+}
+
+impl<'a> Lattice<'a> {
+    /// The ids of candidate `id`'s parents (`X \ {x}` for each `x ∈ X`, ascending `x`);
+    /// empty for a singleton.
+    pub(crate) fn parents_of(&self, id: usize) -> &'a [u32] {
+        &self.parents[self.parent_start[id] as usize..self.parent_start[id + 1] as usize]
+    }
 }
 
 /// A single candidate's combined estimate.
@@ -65,97 +117,96 @@ pub struct CandidateEstimate {
 impl NoisyCandidateCounts {
     /// Number of candidates.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.sets.len()
     }
 
     /// True if no candidates were produced (empty basis set).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.sets.is_empty()
     }
 
     /// The estimate for one candidate.
     pub fn get(&self, itemset: &ItemSet) -> Option<CandidateEstimate> {
-        self.entries.get(itemset).copied()
+        self.sets
+            .binary_search(itemset)
+            .ok()
+            .map(|id| self.estimate(id))
     }
 
-    /// Iterates over all candidates and their estimates.
-    pub fn iter(&self) -> impl Iterator<Item = (&ItemSet, &CandidateEstimate)> {
-        self.entries.iter()
+    /// Iterates over all candidates and their estimates, in `ItemSet` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&ItemSet, CandidateEstimate)> {
+        self.sets
+            .iter()
+            .enumerate()
+            .map(|(id, set)| (set, self.estimate(id)))
     }
 
     /// The `k` candidates with the highest noisy counts, sorted descending
     /// (ties broken deterministically by itemset order).
     ///
-    /// Uses a selection partition first, so the cost is `O(|C| + k log k)` rather than
-    /// sorting all `|C|` candidates.
+    /// Ranks candidate ids with a selection partition first, so the cost is
+    /// `O(|C| + k log k)` rather than sorting all `|C|` candidates, and only the `k`
+    /// winners' itemsets are cloned.
     pub fn top_k(&self, k: usize) -> Vec<(ItemSet, f64)> {
-        let mut all: Vec<(ItemSet, f64)> = self
-            .entries
-            .iter()
-            .map(|(s, e)| (s.clone(), e.count))
-            .collect();
         if k == 0 {
             return Vec::new();
         }
-        if k < all.len() {
-            all.select_nth_unstable_by(k - 1, compare_ranked);
-            all.truncate(k);
+        let rank = |&a: &usize, &b: &usize| {
+            compare_ranked(
+                (&self.sets[a], self.counts[a]),
+                (&self.sets[b], self.counts[b]),
+            )
+        };
+        let mut ids: Vec<usize> = (0..self.len()).collect();
+        if k < ids.len() {
+            ids.select_nth_unstable_by(k - 1, rank);
+            ids.truncate(k);
         }
-        all.sort_unstable_by(compare_ranked);
-        all
+        ids.sort_unstable_by(rank);
+        ids.into_iter()
+            .map(|id| (self.sets[id].clone(), self.counts[id]))
+            .collect()
     }
 
-    /// Rewrites every candidate's count as `f(itemset, count)` (variances are kept, as
-    /// for [`NoisyCandidateCounts::apply_adjusted_counts`]). This is the debias seam of
-    /// the LDP path: supports observed over perturbed data are corrected *once*, after
-    /// any shard merge, just before top-`k` — so integer shard counts still sum exactly
-    /// and the release stays byte-identical across shard counts and placements.
+    /// Rewrites every candidate's count as `f(itemset, count)` (variances are kept: they
+    /// describe the noise that was added, which post-processing does not change). This is
+    /// the debias seam of the LDP path: supports observed over perturbed data are
+    /// corrected *once*, after any shard merge, just before top-`k` — so integer shard
+    /// counts still sum exactly and the release stays byte-identical across shard counts
+    /// and placements.
     pub fn map_counts(&mut self, f: impl Fn(&ItemSet, f64) -> f64) {
-        for (itemset, estimate) in self.entries.iter_mut() {
-            estimate.count = f(itemset, estimate.count);
+        for (itemset, count) in self.sets.iter().zip(&mut self.counts) {
+            *count = f(itemset, *count);
         }
     }
 
-    /// Overwrites each candidate's count with its entry in `adjusted` (variances are kept:
-    /// they describe the noise that was added, which post-processing does not change).
-    /// Candidates missing from `adjusted` keep their current count.
-    pub fn apply_adjusted_counts(&mut self, adjusted: &BTreeMap<ItemSet, f64>) {
-        for (itemset, estimate) in self.entries.iter_mut() {
-            if let Some(&count) = adjusted.get(itemset) {
-                estimate.count = count;
-            }
-        }
+    /// The counts, writable, beside the lattice's read-only structure (the in-place
+    /// consistency pass).
+    pub(crate) fn counts_and_lattice(&mut self) -> (&mut [f64], Lattice<'_>) {
+        let lattice = Lattice {
+            sets: &self.sets,
+            variances: &self.variances,
+            parent_start: &self.parent_start,
+            parents: &self.parents,
+        };
+        (&mut self.counts, lattice)
     }
 
-    fn merge(&mut self, itemset: ItemSet, count: f64, variance_units: f64) {
-        match self.entries.get_mut(&itemset) {
-            None => {
-                self.entries.insert(
-                    itemset,
-                    CandidateEstimate {
-                        count,
-                        variance_units,
-                    },
-                );
-            }
-            Some(existing) => {
-                // Inverse-variance weighting (lines 21–23 of Algorithm 1).
-                let v = existing.variance_units;
-                let nv = variance_units;
-                existing.count = (nv / (v + nv)) * existing.count + (v / (v + nv)) * count;
-                existing.variance_units = v * nv / (v + nv);
-            }
+    fn estimate(&self, id: usize) -> CandidateEstimate {
+        CandidateEstimate {
+            count: self.counts[id],
+            variance_units: self.variances[id],
         }
     }
 }
 
 /// Ranking order of published candidates: descending noisy count, ties by ascending
 /// (length, itemset) so output is deterministic.
-fn compare_ranked(a: &(ItemSet, f64), b: &(ItemSet, f64)) -> std::cmp::Ordering {
+fn compare_ranked(a: (&ItemSet, f64), b: (&ItemSet, f64)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
         .expect("noisy counts are finite")
         .then_with(|| a.0.len().cmp(&b.0.len()))
-        .then_with(|| a.0.cmp(&b.0))
+        .then_with(|| a.0.cmp(b.0))
 }
 
 /// Draws the Laplace noise for one basis' `2^len` bins, in bin-mask order.
@@ -236,39 +287,88 @@ fn assert_basis_len(basis_set: &BasisSet) {
 }
 
 /// Shared reconstruction: adds noise to the exact histograms, runs the superset zeta
-/// transform, and merges every candidate's estimate (inverse-variance across bases).
+/// transform, and lays every candidate out on the lattice — an estimate covered by
+/// several bases merged inverse-variance in basis order, parent edges read off each
+/// basis' mask → id table.
 fn reconstruct(
     basis_set: &BasisSet,
     noise_vecs: Vec<Vec<f64>>,
     exact_hists: Vec<Vec<u64>>,
 ) -> NoisyCandidateCounts {
-    let mut result = NoisyCandidateCounts::default();
-    // Reusable buffer for each candidate's member list — the per-mask allocation this
-    // loop used to do per candidate is hoisted out; `ItemSet::from_sorted` then only
-    // pays the one exact-size allocation the stored key itself needs.
-    let mut members: Vec<Item> = Vec::with_capacity(basis_set.length());
-    for ((basis, noise), hist) in basis_set.bases().iter().zip(noise_vecs).zip(exact_hists) {
+    let bases = basis_set.bases();
+    // One entry `(basis, mask)` per non-empty subset of each basis, in basis then mask
+    // order, with its superset sum in `sums[e]` and its members in one flat buffer:
+    // `members[member_start[e]..member_start[e + 1]]`.
+    let mut entries: Vec<(usize, usize)> = Vec::new();
+    let mut sums: Vec<f64> = Vec::new();
+    let mut members: Vec<Item> = Vec::new();
+    let mut member_start: Vec<usize> = vec![0];
+    for (b, ((basis, noise), hist)) in bases.iter().zip(noise_vecs).zip(exact_hists).enumerate() {
         let bins: Vec<f64> = noise
             .iter()
             .zip(&hist)
             .map(|(n, &c)| n + c as f64)
             .collect();
-        let sums = superset_sums(&bins);
         let items = basis.items();
-        let len = items.len();
-        for (mask, &sum) in sums.iter().enumerate().skip(1) {
-            members.clear();
+        for (mask, sum) in superset_sums(&bins).into_iter().enumerate().skip(1) {
             members.extend(
                 items
                     .iter()
                     .enumerate()
-                    .filter(|(b, _)| mask & (1 << b) != 0)
+                    .filter(|(bit, _)| mask & (1 << bit) != 0)
                     .map(|(_, &i)| i),
             );
-            let itemset = ItemSet::from_sorted(members.clone()).expect("basis items are sorted");
-            let variance_units = 2f64.powi((len - itemset.len()) as i32);
-            result.merge(itemset, sum, variance_units);
+            member_start.push(members.len());
+            entries.push((b, mask));
+            sums.push(sum);
         }
+    }
+    let members_of = |e: usize| &members[member_start[e]..member_start[e + 1]];
+
+    // Item slices compare like itemsets, so a stable sort puts the entries in `ItemSet`
+    // order while keeping one candidate's entries in basis order: merging them below
+    // replays the float sequence of folding the bases in one after another.
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by(|&a, &b| members_of(a).cmp(members_of(b)));
+
+    let mut tables: Vec<Vec<u32>> = bases.iter().map(|b| vec![0; 1 << b.len()]).collect();
+    let mut first_entry: Vec<usize> = Vec::new();
+    let mut result = NoisyCandidateCounts::default();
+    for &e in &order {
+        let (b, mask) = entries[e];
+        let set = members_of(e);
+        let variance_units = 2f64.powi((bases[b].len() - set.len()) as i32);
+        if result.sets.last().is_some_and(|last| last.items() == set) {
+            // Inverse-variance weighting (lines 21–23 of Algorithm 1).
+            let id = result.sets.len() - 1;
+            let v = result.variances[id];
+            let nv = variance_units;
+            result.counts[id] = (nv / (v + nv)) * result.counts[id] + (v / (v + nv)) * sums[e];
+            result.variances[id] = v * nv / (v + nv);
+        } else {
+            let itemset = ItemSet::from_sorted(set.to_vec()).expect("basis items are sorted");
+            result.sets.push(itemset);
+            result.counts.push(sums[e]);
+            result.variances.push(variance_units);
+            first_entry.push(e);
+        }
+        tables[b][mask] = (result.sets.len() - 1) as u32;
+    }
+
+    // The parent of (basis b, mask m) through bit `bit` is `tables[b][m & !bit]`; bits
+    // ascend with items, so each parent list is in ascending removed-item order.
+    result.parent_start.push(0);
+    for &e in &first_entry {
+        let (b, mask) = entries[e];
+        if mask.count_ones() >= 2 {
+            let mut rest = mask;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                result.parents.push(tables[b][mask & !bit]);
+                rest &= rest - 1;
+            }
+        }
+        result.parent_start.push(result.parents.len() as u32);
     }
     result
 }
@@ -554,12 +654,49 @@ mod tests {
         // Reference: sort everything, truncate.
         let mut full: Vec<(ItemSet, f64)> =
             counts.iter().map(|(s, e)| (s.clone(), e.count)).collect();
-        full.sort_by(compare_ranked);
+        full.sort_by(|a, b| compare_ranked((&a.0, a.1), (&b.0, b.1)));
         for k in [0, 1, 3, 7, counts.len(), counts.len() + 5] {
             let got = counts.top_k(k);
             assert_eq!(got.len(), k.min(counts.len()));
             assert_eq!(&got[..], &full[..got.len()]);
         }
+    }
+
+    #[test]
+    fn top_k_handles_zero_oversized_k_and_ties() {
+        let db = sample_db();
+        let basis = BasisSet::single(set(&[1, 2, 3]));
+        let counts = basis_freq_counts(
+            &mut StdRng::seed_from_u64(4),
+            &db,
+            &basis,
+            Epsilon::Infinite,
+        );
+        assert!(counts.top_k(0).is_empty());
+
+        // Exact supports tie in three groups: 5, 4 and 3. Within a group the shorter
+        // itemset ranks first, then the smaller itemset.
+        let expected = vec![
+            (set(&[1]), 5.0),
+            (set(&[2]), 5.0),
+            (set(&[3]), 4.0),
+            (set(&[1, 2]), 4.0),
+            (set(&[2, 3]), 4.0),
+            (set(&[1, 3]), 3.0),
+            (set(&[1, 2, 3]), 3.0),
+        ];
+        assert_eq!(counts.top_k(counts.len() + 10), expected);
+        // A cut inside a tie group keeps the tie-break's winners.
+        assert_eq!(counts.top_k(4), expected[..4]);
+
+        // All counts equal: the order is (length, itemset) alone.
+        let mut flat = counts.clone();
+        flat.map_counts(|_, _| 1.0);
+        let top: Vec<ItemSet> = flat.top_k(5).into_iter().map(|(s, _)| s).collect();
+        assert_eq!(
+            top,
+            vec![set(&[1]), set(&[2]), set(&[3]), set(&[1, 2]), set(&[1, 3])]
+        );
     }
 
     #[test]

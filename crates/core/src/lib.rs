@@ -52,7 +52,7 @@ pub mod variance;
 
 pub use algorithm::{CountTransform, PrivBasis, PrivBasisError, PrivBasisOutput};
 pub use basis::BasisSet;
-pub use consistency::{enforce_consistency, ConsistencyOptions};
+pub use consistency::{enforce_consistency, enforce_consistency_in_place, ConsistencyOptions};
 pub use construct::construct_basis_set;
 pub use context::QueryContext;
 pub use freq::{
