@@ -2,11 +2,18 @@
 //!
 //! §4.2 analyses the running time as O(w·|D| + w·3^ℓ): linear in the basis-set width w,
 //! exponential in the basis length ℓ. The two benchmark groups sweep each factor separately.
+//!
+//! `sweep` — the w·|D| term alone: `VerticalIndex::bin_histograms` at one thread on a
+//! pre-built index over the 100k-row Quest fixture the service benchmark serves:
+//!
+//! * `l6`, `l9`, `l12` — one basis of the ℓ most frequent items (one or two byte planes);
+//! * `k40_bases` — the noiseless k=40 basis set: five overlapping bases of 4–5 items,
+//!   swept in groups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pb_bench::dense_db;
+use pb_bench::{dense_db, quest_db};
 use pb_core::freq::basis_freq_counts_with_index;
-use pb_core::{basis_freq_counts, basis_freq_counts_naive, BasisSet};
+use pb_core::{basis_freq_counts, basis_freq_counts_naive, BasisSet, PrivBasis};
 use pb_dp::Epsilon;
 use pb_fim::{ItemSet, VerticalIndex};
 use rand::rngs::StdRng;
@@ -139,11 +146,43 @@ fn bench_indexed_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sweep(c: &mut Criterion) {
+    let db = quest_db(100_000);
+    let index = VerticalIndex::build(&db);
+    let by_frequency = index.items_by_frequency();
+    let top = |ell: usize| ItemSet::new(by_frequency[..ell].iter().map(|&(i, _)| i).collect());
+    // The basis set of a deterministic noiseless run, as the `consistency` bench takes it.
+    let k40 = PrivBasis::with_defaults()
+        .run(&mut StdRng::seed_from_u64(1), &db, 40, Epsilon::Infinite)
+        .unwrap()
+        .basis_set;
+    let lens: Vec<usize> = k40.bases().iter().map(|b| b.len()).collect();
+    assert_eq!(
+        lens,
+        [5, 5, 4, 4, 5],
+        "k=40 no longer has the five-basis shape"
+    );
+    let mut group = c.benchmark_group("basis_freq/sweep");
+    group.sample_size(50);
+    for (name, bases) in [
+        ("l6", vec![top(6)]),
+        ("l9", vec![top(9)]),
+        ("l12", vec![top(12)]),
+        ("k40_bases", k40.bases().to_vec()),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(index.bin_histograms(&bases, 1)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_width,
     bench_length,
     bench_database_size,
-    bench_indexed_vs_naive
+    bench_indexed_vs_naive,
+    bench_sweep
 );
 criterion_main!(benches);

@@ -17,10 +17,10 @@
 //! computing them meets at the [`basis_freq_counts_with_histograms`] seam:
 //!
 //! * **Indexed** (default, [`basis_freq_counts`]) — a [`VerticalIndex`] is built (or
-//!   passed in via [`basis_freq_counts_with_index`]) and each basis is swept 64
-//!   transactions at a time with word-parallel bit transposes
-//!   ([`VerticalIndex::bin_histograms`]); with the `parallel` feature the bases are
-//!   counted on separate threads.
+//!   passed in via [`basis_freq_counts_with_index`]) and the bases are swept 64
+//!   transactions at a time with word-parallel byte and bit transposes, overlapping
+//!   bases in one sweep over their union ([`VerticalIndex::bin_histograms`]); with the
+//!   `parallel` feature each sweep splits its blocks across threads.
 //! * **Naive** ([`basis_freq_counts_naive`]) — the paper's row scan: per transaction,
 //!   `ℓ` membership tests per basis. Kept as the reference the indexed engine is tested
 //!   against and the baseline the benchmarks measure speedups from.

@@ -58,6 +58,12 @@ impl Bitmap {
         &self.words
     }
 
+    /// The number of words the bitmap's allocation holds.
+    #[cfg(test)]
+    pub(crate) fn capacity_words(&self) -> usize {
+        self.words.capacity()
+    }
+
     /// Sets bit `i`.
     ///
     /// # Panics

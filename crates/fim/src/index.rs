@@ -14,14 +14,34 @@
 //!   transposing the ℓ item words into per-transaction bin masks (§4.1's
 //!   `t ∩ Bᵢ` bins) without ever touching the row representation.
 //!
-//! The histogram sweep skips empty blocks in bulk: the OR of the ℓ words says which of
-//! the 64 transactions intersect the basis at all, and the (typically many) that do not
-//! are credited to bin 0 with one popcount.
+//! ## The histogram sweep
 //!
-//! With the `parallel` feature (default), `bin_histogram` splits the block range across
+//! Each 64-transaction block of a basis is a 64 × ℓ bit matrix: one word per item. The
+//! OR of the ℓ words says which of the 64 transactions intersect the basis at all.
+//!
+//! * A **dense full block** (at least 16 of its 64 transactions intersect the basis) is
+//!   transposed whole. The item words are cut into ⌈ℓ/8⌉ *byte planes* of 8 words each
+//!   (items `8p .. 8p+7`, zero-padded). Each plane is byte-transposed, so word `b` holds
+//!   byte `b` of every item word, then bit-transposed by an 8×8 bit transpose, so byte
+//!   `j` holds the plane's bits of transaction `8b + j`. OR-ing plane `p`'s byte in at
+//!   bit `8p` gives that transaction's bin. Every basis length takes this path.
+//! * A **sparse or partial block** credits its non-intersecting transactions to bin 0
+//!   with one popcount and assembles a bin mask per intersecting transaction.
+//!
+//! ## Groups of bases
+//!
+//! [`VerticalIndex::bin_histograms`] sweeps each greedy run of consecutive bases whose
+//! union has at most 12 items once, over the union, so overlapping
+//! bases share one pass over the bitmaps. The union histogram is then *projected* onto
+//! each member basis: two byte tables map each byte of a union mask to the member
+//! mask bits it carries, and each union bin's count is added to the member bin their OR
+//! names. A basis wider than the cap forms its own group, and a one-basis group is
+//! swept directly with no projection.
+//!
+//! With the `parallel` feature (default), each sweep splits its block range across
 //! `std::thread` workers and sums the per-worker histograms; the result is exactly the
-//! same integer vector regardless of thread count, so callers that add noise stay
-//! byte-for-byte deterministic.
+//! same integer vector regardless of thread count or grouping, so callers that add
+//! noise stay byte-for-byte deterministic.
 
 use crate::bitmap::Bitmap;
 use crate::itemset::{Item, ItemSet};
@@ -32,6 +52,11 @@ use std::collections::BTreeMap;
 /// single-threaded — thread spawn overhead would dominate.
 #[cfg(feature = "parallel")]
 const PAR_MIN_WORDS: usize = 512;
+
+/// The widest union [`VerticalIndex::bin_histograms`] sweeps for a group of bases. Its
+/// bin table of 2^12 × 8 B = 32 KiB stays in L1, where the sweep's scattered bin
+/// increments land; a cap of 16 measured slower on overlapping 4–5-item bases.
+const MAX_GROUP_ITEMS: usize = 12;
 
 /// An immutable vertical index over a [`TransactionDb`].
 #[derive(Clone, Debug)]
@@ -89,8 +114,8 @@ impl VerticalIndex {
         }
         VerticalIndex {
             num_transactions: n,
+            bitmaps: split_flat(&flat, items.len(), num_words, n),
             items,
-            bitmaps: split_flat(flat, num_words, n),
         }
     }
 
@@ -156,8 +181,8 @@ impl VerticalIndex {
         }
         VerticalIndex {
             num_transactions: n,
+            bitmaps: split_flat(&flat, items.len(), num_words, n),
             items,
-            bitmaps: split_flat(flat, num_words, n),
         }
     }
 
@@ -278,20 +303,55 @@ impl VerticalIndex {
     /// `t` with `t ∩ basis` equal to the subset of `basis` encoded by `mask` (bit `i` of
     /// `mask` ⇔ the `i`-th smallest basis item is in `t`). `Σ bins = N`.
     ///
-    /// With the `parallel` feature the block sweep is split across threads; the result
-    /// is identical to the sequential sweep.
+    /// The one-basis case of [`VerticalIndex::bin_histograms`], with the whole thread
+    /// budget for its sweep.
     ///
     /// # Panics
     /// Panics if `basis` has more than 25 items (the bin table would not fit in memory;
     /// callers cap ℓ far below this).
     pub fn bin_histogram(&self, basis: &ItemSet) -> Vec<u64> {
-        self.bin_histogram_with_budget(basis, available_parallelism())
+        self.sweep_histogram(basis, available_parallelism())
     }
 
-    /// [`VerticalIndex::bin_histogram`] restricted to at most `threads` sweep workers
-    /// (`1` = fully sequential). Callers that already fan out — e.g. one thread per
-    /// basis — pass their per-task share here so the total stays within budget.
-    pub fn bin_histogram_with_budget(&self, basis: &ItemSet, threads: usize) -> Vec<u64> {
+    /// The histograms of several bases within one budget of `threads` sweep workers
+    /// (`1` = fully sequential), equal to mapping [`VerticalIndex::bin_histogram`] over
+    /// `bases` for any budget.
+    ///
+    /// Each greedy run of consecutive bases whose union has at most 12 items is swept
+    /// once, over the union, and the union histogram is projected onto each member (see
+    /// the module docs). Groups run one after another, each with the whole budget for
+    /// its block split.
+    ///
+    /// # Panics
+    /// Panics if a basis has more than 25 items, as [`VerticalIndex::bin_histogram`].
+    pub fn bin_histograms(&self, bases: &[ItemSet], threads: usize) -> Vec<Vec<u64>> {
+        let mut hists = Vec::with_capacity(bases.len());
+        let mut start = 0;
+        while start < bases.len() {
+            let mut union = bases[start].clone();
+            let mut end = start + 1;
+            while let Some(next) = bases.get(end) {
+                let wider = union.union(next);
+                if wider.len() > MAX_GROUP_ITEMS {
+                    break;
+                }
+                union = wider;
+                end += 1;
+            }
+            let group = &bases[start..end];
+            if let [basis] = group {
+                hists.push(self.sweep_histogram(basis, threads));
+            } else {
+                let union_bins = self.sweep_histogram(&union, threads);
+                hists.extend(group.iter().map(|b| project_bins(&union_bins, &union, b)));
+            }
+            start = end;
+        }
+        hists
+    }
+
+    /// One basis's histogram, its block range split across at most `threads` workers.
+    fn sweep_histogram(&self, basis: &ItemSet, threads: usize) -> Vec<u64> {
         #[cfg(not(feature = "parallel"))]
         let _ = threads;
         let ell = basis.len();
@@ -307,6 +367,13 @@ impl VerticalIndex {
             .map(|item| self.item_bitmap(item).map(Bitmap::words))
             .collect();
         let num_words = self.num_transactions.div_ceil(64);
+        let n = self.num_transactions;
+        let sweep = |range: std::ops::Range<usize>| match ell.div_ceil(8) {
+            1 => sweep_blocks::<1>(&word_slices, range, n),
+            2 => sweep_blocks::<2>(&word_slices, range, n),
+            3 => sweep_blocks::<3>(&word_slices, range, n),
+            _ => sweep_blocks::<4>(&word_slices, range, n),
+        };
 
         #[cfg(feature = "parallel")]
         {
@@ -314,14 +381,13 @@ impl VerticalIndex {
             if threads > 1 && num_words >= PAR_MIN_WORDS {
                 let chunks = threads.min(num_words / (PAR_MIN_WORDS / 2)).max(1);
                 let chunk_len = num_words.div_ceil(chunks);
-                let n = self.num_transactions;
-                let slices = &word_slices;
+                let sweep = &sweep;
                 let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..chunks)
                         .map(|c| {
                             let lo = c * chunk_len;
                             let hi = ((c + 1) * chunk_len).min(num_words);
-                            scope.spawn(move || sweep_blocks(slices, lo..hi, n, ell))
+                            scope.spawn(move || sweep(lo..hi))
                         })
                         .collect();
                     handles
@@ -339,46 +405,7 @@ impl VerticalIndex {
             }
         }
 
-        sweep_blocks(&word_slices, 0..num_words, self.num_transactions, ell)
-    }
-
-    /// The histograms of several bases within one budget of `threads` workers, equal to
-    /// mapping [`VerticalIndex::bin_histogram`] over `bases` for any budget.
-    ///
-    /// With the `parallel` feature and a wide enough database the budget is split
-    /// across per-basis workers, and each worker hands its share to the block sweeps
-    /// inside its bases — so a wide basis set on a wide machine never multiplies the
-    /// two fan-outs. A single basis gets the whole budget for its sweep.
-    pub fn bin_histograms(&self, bases: &[ItemSet], threads: usize) -> Vec<Vec<u64>> {
-        #[cfg(feature = "parallel")]
-        {
-            if threads > 1 && bases.len() > 1 && self.num_transactions >= 1 << 15 {
-                let workers = threads.min(bases.len());
-                let inner_threads = (threads / workers).max(1);
-                let chunk = bases.len().div_ceil(workers);
-                return std::thread::scope(|scope| {
-                    let handles: Vec<_> = bases
-                        .chunks(chunk)
-                        .map(|slice| {
-                            scope.spawn(move || {
-                                slice
-                                    .iter()
-                                    .map(|b| self.bin_histogram_with_budget(b, inner_threads))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("histogram worker panicked"))
-                        .collect()
-                });
-            }
-        }
-        bases
-            .iter()
-            .map(|b| self.bin_histogram_with_budget(b, threads))
-            .collect()
+        sweep(0..num_words)
     }
 
     /// Projects every transaction onto `basis`, producing a new row-oriented database —
@@ -403,20 +430,16 @@ impl VerticalIndex {
     }
 }
 
-/// Splits an item-major flat word array (`num_words` words per item) into per-item
-/// bitmaps over `len_bits` bits.
-fn split_flat(mut flat: Vec<u64>, num_words: usize, len_bits: usize) -> Vec<Bitmap> {
-    let mut bitmaps = Vec::with_capacity(if num_words == 0 {
-        0
-    } else {
-        flat.len() / num_words.max(1)
-    });
-    while !flat.is_empty() {
-        let rest = flat.split_off(num_words.min(flat.len()));
-        bitmaps.push(Bitmap::from_words(flat, len_bits));
-        flat = rest;
-    }
-    bitmaps
+/// Splits an item-major flat word array (`num_words` words per item) into `num_items`
+/// bitmaps over `len_bits` bits. Each bitmap owns exactly its own words, so the split is
+/// linear in the array and the index holds no slack capacity.
+fn split_flat(flat: &[u64], num_items: usize, num_words: usize, len_bits: usize) -> Vec<Bitmap> {
+    (0..num_items)
+        .map(|slot| {
+            let words = &flat[slot * num_words..(slot + 1) * num_words];
+            Bitmap::from_words(words.to_vec(), len_bits)
+        })
+        .collect()
 }
 
 /// Maps items to bitmap slots. When item ids are dense (the common case — generators and
@@ -465,54 +488,62 @@ impl SlotLookup {
     }
 }
 
-/// Sweeps `word_range` (64-transaction blocks) and returns the partial bin histogram.
+/// Sweeps `word_range` (64-transaction blocks) of a basis with `P` byte planes
+/// (`word_slices.len()` items, at most `8P`) and returns the partial bin histogram.
 ///
-/// For each block the ℓ item words are fetched once; the OR of them identifies the
-/// transactions intersecting the basis, everything else goes to bin 0 in bulk, and each
-/// intersecting transaction's mask is assembled by transposing one bit column.
-fn sweep_blocks(
+/// For each block the item words are fetched once; the OR of them identifies the
+/// transactions intersecting the basis. A dense full block is transposed plane by plane
+/// (see the module docs); in any other block everything non-intersecting goes to bin 0
+/// in bulk and each intersecting transaction's mask is assembled from one bit column.
+fn sweep_blocks<const P: usize>(
     word_slices: &[Option<&[u64]>],
     word_range: std::ops::Range<usize>,
     num_transactions: usize,
-    ell: usize,
 ) -> Vec<u64> {
+    let ell = word_slices.len();
     let mut bins = vec![0u64; 1 << ell];
-    let mut block = vec![0u64; ell];
+    // The block's item words, zero-padded to whole byte planes of 8 items.
+    let mut block = [[0u64; 8]; P];
     for w in word_range {
         let mut occupied = 0u64;
-        for (b, slice) in word_slices.iter().enumerate() {
-            let word = slice.map_or(0, |s| s[w]);
-            block[b] = word;
-            occupied |= word;
+        for (slot, slice) in block.as_flattened_mut().iter_mut().zip(word_slices) {
+            *slot = slice.map_or(0, |s| s[w]);
+            occupied |= *slot;
         }
         let block_len = (num_transactions - w * 64).min(64);
-        if ell <= 8 && block_len == 64 && occupied.count_ones() >= 16 {
-            // Dense full block, basis fits in a byte: transpose the 64×ℓ bit matrix
-            // bytewise — gather byte `b` of every item word, one 8×8 bit transpose, and
-            // the 8 result bytes are the bin masks of transactions 64w+8b .. 64w+8b+7.
+        if block_len == 64 && occupied.count_ones() >= 16 {
+            // Dense full block: after the byte transpose, `planes[p][b]` holds byte `b`
+            // of items 8p..8p+7, i.e. those items of transactions 64w + 8b .. + 7.
+            let mut planes = block;
+            for plane in &mut planes {
+                transpose_bytes(plane);
+            }
             for b in 0..8 {
-                let mut gathered = 0u64;
-                for (i, &word) in block.iter().enumerate() {
-                    gathered |= ((word >> (8 * b)) & 0xFF) << (8 * i);
-                }
-                if gathered == 0 {
+                if planes.iter().all(|plane| plane[b] == 0) {
                     bins[0] += 8;
                     continue;
                 }
-                let transposed = transpose8x8(gathered);
+                // After the bit transpose, byte `j` of `bits[p]` holds the plane's items
+                // of transaction 64w + 8b + j.
+                let bits = planes.map(|plane| transpose8x8(plane[b]));
                 for j in 0..8 {
-                    bins[((transposed >> (8 * j)) & 0xFF) as usize] += 1;
+                    let mut bin = 0usize;
+                    for (p, &word) in bits.iter().enumerate() {
+                        bin |= (((word >> (8 * j)) & 0xFF) as usize) << (8 * p);
+                    }
+                    bins[bin] += 1;
                 }
             }
         } else {
             // Sparse or partial block: credit the non-intersecting transactions to bin 0
             // in bulk, then assemble a mask per set bit of `occupied`.
             bins[0] += (block_len as u32 - occupied.count_ones()) as u64;
+            let words = &block.as_flattened()[..ell];
             while occupied != 0 {
                 let j = occupied.trailing_zeros();
                 occupied &= occupied - 1;
                 let mut mask = 0usize;
-                for (b, &word) in block.iter().enumerate() {
+                for (b, &word) in words.iter().enumerate() {
                     mask |= ((word >> j) & 1) as usize * (1 << b);
                 }
                 bins[mask] += 1;
@@ -520,6 +551,51 @@ fn sweep_blocks(
         }
     }
     bins
+}
+
+/// Folds `union_bins`, the histogram over `union` (at most [`MAX_GROUP_ITEMS`] items),
+/// onto `member ⊆ union`: every union bin's count goes to the member bin of the member
+/// items it contains. Two byte tables map the low and high byte of a union mask to the
+/// member mask bits they carry, so each bin costs two lookups.
+fn project_bins(union_bins: &[u64], union: &ItemSet, member: &ItemSet) -> Vec<u64> {
+    // member_bit[pos]: the member mask bit of the union item at `pos`, 0 if not a member.
+    let mut member_bit = [0usize; 16];
+    for (bit, item) in member.iter().enumerate() {
+        let pos = union
+            .items()
+            .binary_search(&item)
+            .expect("a group member lies inside its union");
+        member_bit[pos] = 1 << bit;
+    }
+    let mut tables = [[0usize; 256]; 2];
+    for (p, table) in tables.iter_mut().enumerate() {
+        for v in 1..256usize {
+            table[v] = table[v & (v - 1)] | member_bit[8 * p + v.trailing_zeros() as usize];
+        }
+    }
+    let mut bins = vec![0u64; 1 << member.len()];
+    for (mask, &count) in union_bins.iter().enumerate() {
+        bins[tables[0][mask & 0xFF] | tables[1][mask >> 8]] += count;
+    }
+    bins
+}
+
+/// Transposes an 8×8 byte matrix held as eight words, one row per word: byte `b` of
+/// word `i` becomes byte `i` of word `b`. Three rounds swap the off-diagonal 4×4, 2×2
+/// and 1×1 blocks (the byte-level analogue of [`transpose8x8`]).
+fn transpose_bytes(x: &mut [u64; 8]) {
+    for (shift, mask) in [
+        (32, 0x0000_0000_FFFF_FFFF_u64),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+    ] {
+        let stride = shift / 8;
+        for i in (0..8).filter(|i| i & stride == 0) {
+            let t = ((x[i] >> shift) ^ x[i + stride]) & mask;
+            x[i + stride] ^= t;
+            x[i] ^= t << shift;
+        }
+    }
 }
 
 /// Transposes an 8×8 bit matrix packed row-major into a `u64` (Hacker's Delight 7-3):
@@ -711,9 +787,10 @@ mod tests {
 
     #[test]
     fn multi_basis_schedule_matches_per_basis_histograms() {
-        // Wide enough (≥ 2^15 rows) for the across-basis split to engage when the
-        // `parallel` feature is on; without it every budget takes the sequential path,
-        // which must agree all the same.
+        // Wide enough (≥ 2^15 rows) for the block split to engage when the `parallel`
+        // feature is on; without it every budget takes the sequential path, which must
+        // agree all the same. All five bases, the empty one included, share one sweep
+        // over their 12-item union; the prefix `bases[..1]` is a one-basis group.
         let n = (1 << 15) + 1_000;
         let transactions: Vec<Vec<u32>> = (0..n)
             .map(|t| {
@@ -740,6 +817,39 @@ mod tests {
             assert_eq!(idx.bin_histograms(&bases[..1], threads), expected[..1]);
         }
         assert!(idx.bin_histograms(&[], 3).is_empty());
+    }
+
+    #[test]
+    fn split_bitmaps_own_exactly_their_words() {
+        let transactions: Vec<Vec<u32>> = (0..200u32).map(|t| vec![t % 7, 7 + t % 5]).collect();
+        let idx = VerticalIndex::build(&TransactionDb::from_transactions(transactions));
+        assert_eq!(idx.items().len(), 12);
+        for &item in idx.items() {
+            let bitmap = idx.item_bitmap(item).unwrap();
+            assert_eq!(bitmap.words().len(), 4);
+            assert_eq!(bitmap.capacity_words(), 4, "item {item}");
+        }
+    }
+
+    #[test]
+    fn transpose_bytes_roundtrip_and_known_values() {
+        // Byte `b` of word `i` holds 8i + b, so after the transpose byte `i` of word `b`
+        // must hold 8i + b.
+        let mut x: [u64; 8] =
+            std::array::from_fn(|i| (0..8).map(|b| ((8 * i + b) as u64) << (8 * b)).sum());
+        let original = x;
+        transpose_bytes(&mut x);
+        for (b, &word) in x.iter().enumerate() {
+            for i in 0..8 {
+                assert_eq!(
+                    (word >> (8 * i)) & 0xFF,
+                    (8 * i + b) as u64,
+                    "word {b} byte {i}"
+                );
+            }
+        }
+        transpose_bytes(&mut x);
+        assert_eq!(x, original);
     }
 
     #[test]
@@ -817,31 +927,34 @@ mod tests {
 
     #[test]
     fn dense_blocks_take_the_transpose_path_and_agree() {
-        // 256 transactions, every one intersecting the basis: forces the dense path on
-        // all full blocks; compare against a brute-force partition.
-        let transactions: Vec<Vec<u32>> = (0..250)
-            .map(|t| {
-                (0..8u32)
-                    .filter(|&j| (t >> j) & 1 == 1 || j == (t % 8) as u32)
-                    .collect()
-            })
-            .collect();
-        let db = TransactionDb::from_transactions(transactions);
-        let idx = VerticalIndex::build(&db);
-        let basis = ItemSet::new((0..8u32).collect());
-        let bins = idx.bin_histogram(&basis);
-        let mut expected = vec![0u64; 256];
-        for t in db.iter() {
-            let mut mask = 0usize;
-            for (bit, &item) in basis.items().iter().enumerate() {
-                if t.contains(item) {
-                    mask |= 1 << bit;
+        // 250 transactions, every one intersecting the basis: forces the dense path on
+        // all full blocks, for one, two and three byte planes; compare against a
+        // brute-force partition.
+        for ell in [8u32, 9, 16, 20] {
+            let transactions: Vec<Vec<u32>> = (0..250)
+                .map(|t| {
+                    (0..ell)
+                        .filter(|&j| ((t * 2654435761u64) >> j) & 1 == 1 || j == t as u32 % ell)
+                        .collect()
+                })
+                .collect();
+            let db = TransactionDb::from_transactions(transactions);
+            let idx = VerticalIndex::build(&db);
+            let basis = ItemSet::new((0..ell).collect());
+            let bins = idx.bin_histogram(&basis);
+            let mut expected = vec![0u64; 1 << ell];
+            for t in db.iter() {
+                let mut mask = 0usize;
+                for (bit, &item) in basis.items().iter().enumerate() {
+                    if t.contains(item) {
+                        mask |= 1 << bit;
+                    }
                 }
+                expected[mask] += 1;
             }
-            expected[mask] += 1;
+            assert_eq!(bins, expected, "ell {ell}");
+            assert_eq!(bins.iter().sum::<u64>(), 250);
         }
-        assert_eq!(bins, expected);
-        assert_eq!(bins.iter().sum::<u64>(), 250);
     }
 
     #[test]

@@ -21,6 +21,30 @@ fn arb_query() -> impl Strategy<Value = ItemSet> {
     prop::collection::vec(0u32..15, 0..6).prop_map(ItemSet::new)
 }
 
+/// A dense database of 64–400 rows over items 0..24 (usually ending in a partial
+/// 64-row block): each row holds about 30% of the items, so nearly every full block of a
+/// basis with two or more items takes the transposing sweep.
+fn arb_dense_db() -> impl Strategy<Value = TransactionDb> {
+    prop::collection::vec(prop::collection::vec(0u32..24, 0..17), 64..401)
+        .prop_map(TransactionDb::from_transactions)
+}
+
+/// A basis of 0–20 items (one to three byte planes) over items 0..26; items 24 and 25
+/// never occur in [`arb_dense_db`].
+fn arb_wide_basis() -> impl Strategy<Value = ItemSet> {
+    prop::collection::btree_set(0u32..26, 0..21).prop_map(|s| ItemSet::new(s.into_iter().collect()))
+}
+
+/// A list of overlapping bases: each keeps a random prefix of a wide basis, so narrow
+/// bases that group under one union sweep mix with wide ones that sweep alone.
+fn arb_basis_list() -> impl Strategy<Value = Vec<ItemSet>> {
+    prop::collection::vec(
+        (arb_wide_basis(), 0usize..21)
+            .prop_map(|(b, width)| ItemSet::new(b.items().iter().copied().take(width).collect())),
+        0..6,
+    )
+}
+
 /// Brute-force bin histogram: partition transactions by `t ∩ basis`.
 fn bins_bruteforce(db: &TransactionDb, basis: &ItemSet) -> Vec<u64> {
     let items = basis.items();
@@ -78,6 +102,18 @@ proptest! {
         let bins = idx.bin_histogram(&basis);
         prop_assert_eq!(bins.iter().sum::<u64>(), db.len() as u64);
         prop_assert_eq!(bins, bins_bruteforce(&db, &basis));
+    }
+
+    #[test]
+    fn dense_bin_histograms_match_bruteforce(db in arb_dense_db(),
+                                             basis in arb_wide_basis(),
+                                             bases in arb_basis_list()) {
+        let idx = VerticalIndex::build(&db);
+        prop_assert_eq!(idx.bin_histogram(&basis), bins_bruteforce(&db, &basis));
+        let expected: Vec<Vec<u64>> = bases.iter().map(|b| bins_bruteforce(&db, b)).collect();
+        for threads in [1, 2, 4] {
+            prop_assert_eq!(&idx.bin_histograms(&bases, threads), &expected);
+        }
     }
 
     #[test]

@@ -98,11 +98,9 @@ pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Res
                 )));
             }
             with_sealed(&store, key, |_, index| {
+                let sets: Vec<ItemSet> = bases.iter().map(|b| ItemSet::new(b.clone())).collect();
                 Response::ShardHistograms(
-                    bases
-                        .iter()
-                        .map(|b| index.bin_histogram(&ItemSet::new(b.clone())))
-                        .collect(),
+                    index.bin_histograms(&sets, pb_fim::index::available_parallelism()),
                 )
             })
         }
