@@ -6,7 +6,7 @@
 //! server code never panics on request paths; local-model code never touches
 //! the central ledger. `pb-audit` checks those contracts mechanically — a
 //! hand-rolled lexer (strings, raw strings, nested comments, attributes;
-//! panic-free on arbitrary bytes) feeds seven codebase-specific lints
+//! panic-free on arbitrary bytes) feeds eight codebase-specific lints
 //! over every shipped source file, with `// audit:allow(<lint>): <reason>`
 //! pragmas (reason required) as the reviewed escape hatch.
 //!

@@ -1,4 +1,4 @@
-//! The seven workspace invariant lints.
+//! The eight workspace invariant lints.
 //!
 //! Each lint encodes a contract no compiler checks (see the README's "Static
 //! analysis & invariants" table for why each is privacy- or byte-identity-
@@ -43,6 +43,10 @@ pub const LINTS: &[(&str, &str)] = &[
         "ldp-no-debit",
         "LDP code never reaches the central BudgetLedger: pb-ldp is ledger-free and *ldp* functions in serving crates never debit",
     ),
+    (
+        "thread-spawn",
+        "no thread::spawn/thread::scope/thread::Builder in core/fim/shard outside the counting pool (crates/fim/src/pool.rs)",
+    ),
     ("bad-pragma", "audit:allow pragmas must parse and carry a non-empty reason"),
 ];
 
@@ -84,6 +88,14 @@ const LDP_CRATE: &str = "ldp";
 const LDP_CARRYING_CRATES: &[&str] = &["privbasis", "proto", "service", "shard"];
 /// Identifiers that mean "the central accountant" wherever they appear.
 const LEDGER_IDENTS: &[&str] = &["BudgetLedger", "pb_dp", "try_spend"];
+
+/// Crates on the query path: their per-query fan-out runs on the counting pool, so
+/// a thread started anywhere else in them is a per-query spawn in waiting.
+const THREAD_SPAWN_CRATES: &[&str] = &["core", "fim", "shard"];
+/// The one file in those crates allowed to start threads: the pool itself.
+const THREAD_POOL_FILE: &str = "crates/fim/src/pool.rs";
+/// `std::thread` items that start a thread.
+const THREAD_STARTERS: &[&str] = &["spawn", "scope", "Builder"];
 
 /// Methods that iterate a collection in storage order.
 const ITER_METHODS: &[&str] = &[
@@ -177,6 +189,11 @@ pub fn run_lints(files: &[SourceFile]) -> Vec<Diagnostic> {
         }
         if file.crate_name == LDP_CRATE || LDP_CARRYING_CRATES.contains(&file.crate_name.as_str()) {
             ldp_no_debit_lint(file, &mut sink);
+        }
+        if THREAD_SPAWN_CRATES.contains(&file.crate_name.as_str())
+            && file.rel_path != THREAD_POOL_FILE
+        {
+            thread_spawn_lint(file, &mut sink);
         }
     }
     sort_canonical(&mut findings);
@@ -945,5 +962,77 @@ fn ldp_no_debit_lint(file: &SourceFile, sink: &mut Sink) {
             }
         }
         i = close + 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// thread-spawn
+// ---------------------------------------------------------------------------
+
+/// Flags `thread::spawn`, `thread::scope` and `thread::Builder`, both as paths and
+/// inside a `thread::{…}` import group, so a renamed import cannot hide one.
+fn thread_spawn_lint(file: &SourceFile, sink: &mut Sink) {
+    let src = &file.bytes;
+    let code: Vec<&Token> = file
+        .tokens
+        .iter()
+        .filter(|t| t.kind != TokenKind::Comment)
+        .collect();
+    let after_thread_path = |i: usize| {
+        i >= 3
+            && code[i - 1].is_punct(src, b':')
+            && code[i - 2].is_punct(src, b':')
+            && code[i - 3].is_ident(src, "thread")
+    };
+    // Closing-brace index of a `thread::{…}` import group being scanned.
+    let mut group_end = None;
+    for i in 0..code.len() {
+        let t = code[i];
+        if t.is_punct(src, b'{') && after_thread_path(i) {
+            group_end = match_code_brace(src, &code, i);
+            continue;
+        }
+        let in_group = group_end.is_some_and(|end| i < end);
+        if t.kind != TokenKind::Ident
+            || !THREAD_STARTERS.contains(&t.text(src).as_ref())
+            || !(in_group || after_thread_path(i))
+        {
+            continue;
+        }
+        sink.emit(
+            "thread-spawn",
+            t,
+            format!(
+                "`thread::{}` starts a thread in `{}`, on the query path; per-query fan-out runs on the counting pool (`pb_fim::pool`) — use it or annotate with `// audit:allow(thread-spawn): <reason>`",
+                t.text(src),
+                file.crate_name
+            ),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn findings(path: &str, crate_name: &str, src: &str) -> Vec<(u32, &'static str)> {
+        let file = SourceFile::new(path.into(), crate_name.into(), src.as_bytes().to_vec());
+        run_lints(&[file])
+            .into_iter()
+            .map(|d| (d.line, d.lint))
+            .collect()
+    }
+
+    #[test]
+    fn thread_spawn_sees_paths_and_import_groups_but_not_the_pool() {
+        let src = "use std::thread::{self, Builder as B};\n\
+                   fn f() { thread::spawn(|| ()); }\n\
+                   fn g() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n";
+        assert_eq!(
+            findings("crates/shard/src/x.rs", "shard", src),
+            vec![(1, "thread-spawn"), (2, "thread-spawn")]
+        );
+        assert!(findings("crates/fim/src/pool.rs", "fim", src).is_empty());
+        assert!(findings("crates/service/src/x.rs", "service", src).is_empty());
     }
 }

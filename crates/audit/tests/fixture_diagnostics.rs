@@ -25,6 +25,7 @@ fn fixture_tree_produces_exactly_the_expected_findings() {
             ("crates/core/src/clock.rs", 4, "wall-clock"),
             ("crates/core/src/lib.rs", 10, "hash-iter"),
             ("crates/core/src/lib.rs", 16, "bad-pragma"),
+            ("crates/fim/src/fanout.rs", 4, "thread-spawn"),
             ("crates/fim/src/lib.rs", 6, "noise-seam"),
             ("crates/fim/src/lib.rs", 7, "noise-seam"),
             ("crates/ldp/src/lib.rs", 4, "ldp-no-debit"),

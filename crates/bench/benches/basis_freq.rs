@@ -164,14 +164,18 @@ fn bench_sweep(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("basis_freq/sweep");
     group.sample_size(50);
-    for (name, bases) in [
-        ("l6", vec![top(6)]),
-        ("l9", vec![top(9)]),
-        ("l12", vec![top(12)]),
-        ("k40_bases", k40.bases().to_vec()),
+    // `_t2` ids split each sweep in two on the counting pool: the caller sweeps one
+    // half while a parked pool helper sweeps the other.
+    for (name, bases, threads) in [
+        ("l6", vec![top(6)], 1),
+        ("l9", vec![top(9)], 1),
+        ("l12", vec![top(12)], 1),
+        ("k40_bases", k40.bases().to_vec(), 1),
+        ("l9_t2", vec![top(9)], 2),
+        ("k40_bases_t2", k40.bases().to_vec(), 2),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(index.bin_histograms(&bases, 1)))
+            b.iter(|| black_box(index.bin_histograms(&bases, threads)))
         });
     }
     group.finish();

@@ -38,20 +38,30 @@
 //! names. A basis wider than the cap forms its own group, and a one-basis group is
 //! swept directly with no projection.
 //!
-//! With the `parallel` feature (default), each sweep splits its block range across
-//! `std::thread` workers and sums the per-worker histograms; the result is exactly the
-//! same integer vector regardless of thread count or grouping, so callers that add
-//! noise stay byte-for-byte deterministic.
+//! With a thread budget above 1, each sweep of at least 256 words (`PAR_MIN_WORDS`) splits
+//! its block range into shares on the process-wide [counting pool](crate::pool) and
+//! sums the per-share histograms; the result is exactly the same integer vector
+//! regardless of thread count or grouping, so callers that add noise stay
+//! byte-for-byte deterministic. The bitmaps sit behind an `Arc`, so a share handed to a
+//! pool helper carries its own handle to them.
 
 use crate::bitmap::Bitmap;
 use crate::itemset::{Item, ItemSet};
 use crate::transaction::TransactionDb;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+pub use crate::pool::{available_parallelism, set_parallelism_override};
 
 /// Below this many words per bitmap (64 transactions each) the histogram sweep stays
-/// single-threaded — thread spawn overhead would dominate.
+/// on one thread, and a split gives each share at least half of it. Measured for a
+/// 9-item basis at a budget of 2 on a 2-core VM, a split over the pool breaks even at
+/// about 128 words and saves 32–37% from 192 words up.
+const PAR_MIN_WORDS: usize = 256;
+
+/// Below this many transactions the index build fills its bitmaps on one thread.
 #[cfg(feature = "parallel")]
-const PAR_MIN_WORDS: usize = 512;
+const PAR_MIN_BUILD_ROWS: usize = 1 << 15;
 
 /// The widest union [`VerticalIndex::bin_histograms`] sweeps for a group of bases. Its
 /// bin table of 2^12 × 8 B = 32 KiB stays in L1, where the sweep's scattered bin
@@ -64,8 +74,9 @@ pub struct VerticalIndex {
     num_transactions: usize,
     /// Indexed items, ascending.
     items: Vec<Item>,
-    /// `bitmaps[i]` holds the transaction set of `items[i]`.
-    bitmaps: Vec<Bitmap>,
+    /// `bitmaps[i]` holds the transaction set of `items[i]`; shared so a sweep share
+    /// on a pool helper can hold them.
+    bitmaps: Arc<[Bitmap]>,
 }
 
 impl VerticalIndex {
@@ -96,7 +107,7 @@ impl VerticalIndex {
         #[cfg(feature = "parallel")]
         {
             let threads = available_parallelism();
-            if threads > 1 && n >= 64 * PAR_MIN_WORDS {
+            if threads > 1 && n >= PAR_MIN_BUILD_ROWS {
                 return Self::build_chunked(db, items, &lookup, threads);
             }
         }
@@ -114,7 +125,7 @@ impl VerticalIndex {
         }
         VerticalIndex {
             num_transactions: n,
-            bitmaps: split_flat(&flat, items.len(), num_words, n),
+            bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
             items,
         }
     }
@@ -145,6 +156,7 @@ impl VerticalIndex {
             .filter(|(_, slice)| !slice.is_empty())
             .collect();
         // Each worker returns an item-major flat block: words[slot * chunk_words + w].
+        // audit:allow(thread-spawn): the build borrows the rows and runs once per registration, not per query
         let blocks: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
@@ -181,7 +193,7 @@ impl VerticalIndex {
         }
         VerticalIndex {
             num_transactions: n,
-            bitmaps: split_flat(&flat, items.len(), num_words, n),
+            bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
             items,
         }
     }
@@ -218,7 +230,7 @@ impl VerticalIndex {
     pub fn item_counts(&self) -> Vec<(Item, usize)> {
         self.items
             .iter()
-            .zip(&self.bitmaps)
+            .zip(self.bitmaps.iter())
             .map(|(&item, b)| (item, b.count_ones()))
             .collect()
     }
@@ -350,10 +362,9 @@ impl VerticalIndex {
         hists
     }
 
-    /// One basis's histogram, its block range split across at most `threads` workers.
+    /// One basis's histogram, its block range split into at most `threads` shares on
+    /// the counting pool.
     fn sweep_histogram(&self, basis: &ItemSet, threads: usize) -> Vec<u64> {
-        #[cfg(not(feature = "parallel"))]
-        let _ = threads;
         let ell = basis.len();
         assert!(
             ell <= 25,
@@ -362,50 +373,33 @@ impl VerticalIndex {
         if ell == 0 {
             return vec![self.num_transactions as u64];
         }
-        let word_slices: Vec<Option<&[u64]>> = basis
+        let slots: Vec<Option<usize>> = basis
             .iter()
-            .map(|item| self.item_bitmap(item).map(Bitmap::words))
+            .map(|item| self.items.binary_search(&item).ok())
             .collect();
         let num_words = self.num_transactions.div_ceil(64);
         let n = self.num_transactions;
-        let sweep = |range: std::ops::Range<usize>| match ell.div_ceil(8) {
-            1 => sweep_blocks::<1>(&word_slices, range, n),
-            2 => sweep_blocks::<2>(&word_slices, range, n),
-            3 => sweep_blocks::<3>(&word_slices, range, n),
-            _ => sweep_blocks::<4>(&word_slices, range, n),
+        let chunks = if num_words >= PAR_MIN_WORDS {
+            threads.min(num_words / (PAR_MIN_WORDS / 2)).max(1)
+        } else {
+            1
         };
-
-        #[cfg(feature = "parallel")]
-        {
-            let threads = threads.max(1);
-            if threads > 1 && num_words >= PAR_MIN_WORDS {
-                let chunks = threads.min(num_words / (PAR_MIN_WORDS / 2)).max(1);
-                let chunk_len = num_words.div_ceil(chunks);
-                let sweep = &sweep;
-                let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..chunks)
-                        .map(|c| {
-                            let lo = c * chunk_len;
-                            let hi = ((c + 1) * chunk_len).min(num_words);
-                            scope.spawn(move || sweep(lo..hi))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker panicked"))
-                        .collect()
-                });
-                let mut bins = vec![0u64; 1 << ell];
-                for partial in partials {
-                    for (acc, x) in bins.iter_mut().zip(partial) {
-                        *acc += x;
-                    }
-                }
-                return bins;
+        if chunks == 1 {
+            return sweep_range(&self.bitmaps, &slots, 0..num_words, n);
+        }
+        let chunk_len = num_words.div_ceil(chunks);
+        let bitmaps = Arc::clone(&self.bitmaps);
+        let partials = crate::pool::run(chunks, chunks, move |c, _| {
+            let range = c * chunk_len..((c + 1) * chunk_len).min(num_words);
+            sweep_range(&bitmaps, &slots, range, n)
+        });
+        let mut bins = vec![0u64; 1 << ell];
+        for partial in partials {
+            for (acc, x) in bins.iter_mut().zip(partial) {
+                *acc += x;
             }
         }
-
-        sweep(0..num_words)
+        bins
     }
 
     /// Projects every transaction onto `basis`, producing a new row-oriented database —
@@ -485,6 +479,26 @@ impl SlotLookup {
                 _ => None,
             }
         }
+    }
+}
+
+/// Sweeps `word_range` of the basis whose items sit at `slots` of `bitmaps` (`None` for
+/// an unindexed item), with as many byte planes as the basis needs.
+fn sweep_range(
+    bitmaps: &[Bitmap],
+    slots: &[Option<usize>],
+    word_range: std::ops::Range<usize>,
+    num_transactions: usize,
+) -> Vec<u64> {
+    let word_slices: Vec<Option<&[u64]>> = slots
+        .iter()
+        .map(|slot| slot.map(|i| bitmaps[i].words()))
+        .collect();
+    match slots.len().div_ceil(8) {
+        1 => sweep_blocks::<1>(&word_slices, word_range, num_transactions),
+        2 => sweep_blocks::<2>(&word_slices, word_range, num_transactions),
+        3 => sweep_blocks::<3>(&word_slices, word_range, num_transactions),
+        _ => sweep_blocks::<4>(&word_slices, word_range, num_transactions),
     }
 }
 
@@ -607,54 +621,6 @@ fn transpose8x8(x: u64) -> u64 {
     let x = x ^ t ^ (t << 14);
     let t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0;
     x ^ t ^ (t << 28)
-}
-
-/// Programmatic parallelism override; 0 means "not set". Shared by the build and every
-/// sweep, including the ones `pb-core` fans out per basis.
-static PARALLELISM_OVERRIDE: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Overrides the worker-thread budget for index builds and histogram sweeps
-/// (`None` restores the default). Also how the tests force the parallel paths on
-/// single-core machines — an in-process setting, unlike mutating `PB_NUM_THREADS`,
-/// which could race with concurrent `getenv` calls.
-pub fn set_parallelism_override(threads: Option<usize>) {
-    PARALLELISM_OVERRIDE.store(
-        threads.map_or(0, |t| t.max(1)),
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The worker-thread budget for index builds and histogram sweeps: the programmatic
-/// override if set, else the `PB_NUM_THREADS` environment variable, else the hardware
-/// parallelism — both read once per process, at first use. Always 1 when the
-/// `parallel` feature is disabled.
-pub fn available_parallelism() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let o = PARALLELISM_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
-        if o != 0 {
-            return o;
-        }
-        // Cached because the standard-library query re-reads the cgroup CPU quota
-        // files on every call, and the shard executor asks once per counting op.
-        static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            std::env::var("PB_NUM_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .map(|n| n.max(1))
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -882,8 +848,8 @@ mod tests {
         // produce identical bits — and, unlike std::env::set_var, an atomic store cannot
         // race libc getenv.
         super::set_parallelism_override(Some(4));
-        // Big enough to clear both parallel thresholds (n >= 64 * PAR_MIN_WORDS).
-        let n = 64 * super::PAR_MIN_WORDS + 77;
+        // Big enough to clear both parallel thresholds.
+        let n = PAR_MIN_BUILD_ROWS.max(64 * PAR_MIN_WORDS) + 77;
         let transactions: Vec<Vec<u32>> = (0..n)
             .map(|t| {
                 (0..10u32)

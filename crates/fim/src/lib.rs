@@ -6,6 +6,7 @@
 //! * a compact transaction database representation ([`TransactionDb`], [`ItemSet`]),
 //! * a vertical bitmap index ([`VerticalIndex`]) that turns support counting, pair
 //!   counting, and the `BasisFreq` bin histogram into word-parallel AND/popcount kernels,
+//! * the process-wide counting [`pool`] every per-query fan-out runs on,
 //! * two reference miners — level-wise [`apriori`] and tree-based [`fpgrowth`] —
 //!   that are tested against each other,
 //! * top-`k` mining and threshold mining helpers ([`topk`]),
@@ -45,6 +46,7 @@ pub mod index;
 pub mod io;
 pub mod itemset;
 pub mod maximal;
+pub mod pool;
 pub mod rules;
 pub mod stats;
 pub mod topk;

@@ -10,9 +10,10 @@
 //! * [`ShardedDb`] — the partitioned dataset: one `TransactionDb` + lazily built
 //!   `VerticalIndex` per shard, with fan-out/merge implementations of every counting
 //!   primitive the PrivBasis pipeline touches (item supports, candidate supports, pair
-//!   counts, `BasisFreq` bin histograms, and the θ anchor via a best-first lattice walk),
-//! * [`ShardExecutor`] — the scheduler: one task per shard over a bounded thread budget,
-//!   results in shard order so merges never depend on scheduling.
+//!   counts, `BasisFreq` bin histograms, and the θ anchor via a best-first lattice walk).
+//!   Each count op fans out one leg per shard on the process-wide counting pool
+//!   ([`pb_fim::pool`]), within the workspace thread budget, and collects the results
+//!   in shard order so merges never depend on scheduling.
 //!
 //! ## Why the merge is exact
 //!
@@ -55,13 +56,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 mod mine;
 pub mod plan;
 pub mod remote;
 pub mod sharded;
 
-pub use executor::ShardExecutor;
 pub use plan::ShardPlan;
 pub use remote::{
     Fabric, FabricObserver, RemoteShard, ShardBackend, WorkerStats, DEFAULT_HEDGE_AFTER,

@@ -105,8 +105,8 @@ pub struct Fabric {
     last_error: Mutex<String>,
     workers: Mutex<BTreeMap<String, WorkerStats>>,
     observer: Mutex<Option<Arc<dyn FabricObserver>>>,
-    // The trace label rides the fabric rather than a thread-local because the
-    // executor fans count ops out across spawned threads. Under concurrent queries
+    // The trace label rides the fabric rather than a thread-local because count ops
+    // fan out across the counting pool's helper threads. Under concurrent queries
     // on the same dataset the last writer wins — acceptable for an
     // observability-only attribution that never touches released bytes.
     trace_label: Mutex<Option<String>>,
@@ -208,13 +208,13 @@ impl Fabric {
 }
 
 /// Where a shard's count ops run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ShardBackend {
     /// In this process, on the shard's own `VerticalIndex`.
     Local,
-    /// On a worker process over pb-proto (boxed: most shards are local, and the
-    /// remote state — connection, retained-row handle, health — is fat).
-    Remote(Box<RemoteShard>),
+    /// On a worker process over pb-proto (shared: a count op's leg on a pool helper
+    /// holds its own handle to the connection, retained rows and health).
+    Remote(Arc<RemoteShard>),
 }
 
 /// One shard served by a remote worker process.

@@ -1,6 +1,5 @@
 //! The sharded dataset: row-partitioned [`TransactionDb`]s with exact summation merges.
 
-use crate::executor::ShardExecutor;
 use crate::plan::ShardPlan;
 use crate::remote::{Fabric, RemoteShard, ShardBackend};
 use pb_fim::itemset::{Item, ItemSet};
@@ -8,6 +7,7 @@ use pb_fim::{TransactionDb, VerticalIndex};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, OnceLock};
 
 /// One shard: its rows plus a lazily built vertical index over them.
@@ -49,13 +49,17 @@ impl Shard {
 /// return bit-identical results to their unsharded counterparts for any shard count and
 /// any thread count, which is what lets `pb-core` draw its Laplace noise once, on the
 /// merged counts, in the same fixed order as the unsharded engine.
+///
+/// The fan-out runs on the process-wide counting pool ([`pb_fim::pool`]): the caller
+/// counts the first shard itself and pool helpers take the others. The shards and
+/// their backends are `Arc`-shared so each leg carries its own handle to them.
 #[derive(Debug)]
 pub struct ShardedDb {
     plan: ShardPlan,
-    shards: Vec<Shard>,
+    shards: Arc<[Shard]>,
     /// Where each shard's count ops run, parallel to `shards`. All-local unless
     /// [`ShardedDb::with_workers`] placed a prefix of the shards remotely.
-    backends: Vec<ShardBackend>,
+    backends: Arc<[ShardBackend]>,
     /// Shared fabric health, present once any shard is remote.
     fabric: Option<Arc<Fabric>>,
     num_transactions: usize,
@@ -65,17 +69,21 @@ pub struct ShardedDb {
     items_by_freq: OnceLock<Vec<(Item, usize)>>,
 }
 
-fn all_local(n: usize) -> Vec<ShardBackend> {
+fn all_local(n: usize) -> Arc<[ShardBackend]> {
     (0..n).map(|_| ShardBackend::Local).collect()
 }
 
 impl ShardedDb {
     /// Partitions `db` into `num_shards` contiguous row blocks (the [`ShardPlan`]
     /// layout). Rows are copied into per-shard databases; the source is not retained.
+    ///
+    /// # Panics
+    /// Panics if `num_shards` is 0; every seam that takes a shard count from outside
+    /// refuses 0 before it gets here.
     pub fn partition(db: &TransactionDb, num_shards: usize) -> ShardedDb {
-        let plan = ShardPlan::new(num_shards);
+        let plan = ShardPlan::new(NonZeroUsize::new(num_shards).expect("at least one shard"));
         let rows = db.transactions();
-        let shards: Vec<Shard> = plan
+        let shards: Arc<[Shard]> = plan
             .boundaries(rows.len())
             .into_iter()
             .map(|range| {
@@ -99,7 +107,7 @@ impl ShardedDb {
     /// owned or shared, never copied — so `from_shards(vec![db])` is the one-shard
     /// layout of `db` at no extra row memory.
     pub fn from_shards(shards: Vec<impl Into<Arc<TransactionDb>>>) -> ShardedDb {
-        let shards: Vec<Shard> = shards
+        let shards: Arc<[Shard]> = shards
             .into_iter()
             .map(Into::into)
             .filter(|db: &Arc<TransactionDb>| !db.is_empty())
@@ -107,7 +115,8 @@ impl ShardedDb {
             .collect();
         let num_transactions = shards.iter().map(|s| s.db.len()).sum();
         ShardedDb {
-            plan: ShardPlan::new(shards.len()),
+            // All-empty input is the one-shard layout of an empty database.
+            plan: ShardPlan::new(NonZeroUsize::new(shards.len()).unwrap_or(NonZeroUsize::MIN)),
             backends: all_local(shards.len()),
             shards,
             fabric: None,
@@ -132,6 +141,7 @@ impl ShardedDb {
             .fabric
             .take()
             .unwrap_or_else(|| Arc::new(Fabric::default()));
+        let mut backends = self.backends.to_vec();
         for (i, addr) in workers.iter().enumerate().take(self.shards.len()) {
             let remote = RemoteShard::connect(
                 *addr,
@@ -139,8 +149,9 @@ impl ShardedDb {
                 Arc::clone(self.shards[i].db()),
                 Arc::clone(&fabric),
             )?;
-            self.backends[i] = ShardBackend::Remote(Box::new(remote));
+            backends[i] = ShardBackend::Remote(Arc::new(remote));
         }
+        self.backends = backends.into();
         self.fabric = Some(fabric);
         Ok(self)
     }
@@ -251,13 +262,11 @@ impl ShardedDb {
 
     fn merged_item_counts(&self) -> &[(Item, usize)] {
         self.item_counts.get_or_init(|| {
-            let per_shard = self.executor().run(self.shards.len(), |s, _| {
-                match &self.backends[s] {
-                    ShardBackend::Local => self.shards[s].index().item_counts(),
-                    // Remote shards keep this whole-dataset scan local (the rows are
-                    // retained anyway) without building the heavy vertical index.
-                    ShardBackend::Remote(r) => r.rows().item_counts().into_iter().collect(),
-                }
+            let per_shard = self.fan_out(|shard, backend, _| match backend {
+                ShardBackend::Local => shard.index().item_counts(),
+                // Remote shards keep this whole-dataset scan local (the rows are
+                // retained anyway) without building the heavy vertical index.
+                ShardBackend::Remote(r) => r.rows().item_counts().into_iter().collect(),
             });
             let mut merged: BTreeMap<Item, usize> = BTreeMap::new();
             for counts in per_shard {
@@ -279,11 +288,14 @@ impl ShardedDb {
         if candidates.is_empty() {
             return Vec::new();
         }
+        let candidates: Arc<[ItemSet]> = candidates.into();
         let mut per_shard = self
-            .executor()
-            .run(self.shards.len(), |s, _| match &self.backends[s] {
-                ShardBackend::Local => self.shards[s].index().supports(candidates),
-                ShardBackend::Remote(r) => r.supports(candidates),
+            .fan_out({
+                let candidates = Arc::clone(&candidates);
+                move |shard, backend, _| match backend {
+                    ShardBackend::Local => shard.index().supports(&candidates),
+                    ShardBackend::Remote(r) => r.supports(&candidates),
+                }
             })
             .into_iter();
         // Summed into the first shard's result, so a single shard merges nothing.
@@ -301,11 +313,11 @@ impl ShardedDb {
     /// Support counts of all unordered pairs over `items` with non-zero support — the
     /// same contract as [`TransactionDb::pair_counts`], merged by summation.
     pub fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
+        let items = items.clone();
         let mut per_shard = self
-            .executor()
-            .run(self.shards.len(), |s, _| match &self.backends[s] {
-                ShardBackend::Local => self.shards[s].index().pair_counts(items),
-                ShardBackend::Remote(r) => r.pair_counts(items),
+            .fan_out(move |shard, backend, _| match backend {
+                ShardBackend::Local => shard.index().pair_counts(&items),
+                ShardBackend::Remote(r) => r.pair_counts(&items),
             })
             .into_iter();
         let mut merged = per_shard.next().unwrap_or_default();
@@ -327,11 +339,11 @@ impl ShardedDb {
         if bases.is_empty() {
             return Vec::new();
         }
+        let shared: Arc<[ItemSet]> = bases.into();
         let mut per_shard = self
-            .executor()
-            .run(self.shards.len(), |s, inner| match &self.backends[s] {
-                ShardBackend::Local => self.shards[s].index().bin_histograms(bases, inner),
-                ShardBackend::Remote(r) => r.bin_histograms(bases),
+            .fan_out(move |shard, backend, inner| match backend {
+                ShardBackend::Local => shard.index().bin_histograms(&shared, inner),
+                ShardBackend::Remote(r) => r.bin_histograms(&shared),
             })
             .into_iter();
         let mut merged = per_shard.next().unwrap_or_else(|| {
@@ -350,8 +362,21 @@ impl ShardedDb {
         merged
     }
 
-    pub(crate) fn executor(&self) -> ShardExecutor {
-        ShardExecutor::new()
+    /// Runs `task(shard, backend, inner_budget)` for every shard on the counting pool,
+    /// within the workspace thread budget, and returns the results in shard order —
+    /// so a merge never depends on which thread counted which shard.
+    fn fan_out<T, F>(&self, task: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(&Shard, &ShardBackend, usize) -> T + Send + Sync + 'static,
+    {
+        let shards = Arc::clone(&self.shards);
+        let backends = Arc::clone(&self.backends);
+        pb_fim::pool::run(
+            pb_fim::pool::available_parallelism(),
+            shards.len(),
+            move |s, inner| task(&shards[s], &backends[s], inner),
+        )
     }
 }
 
@@ -430,6 +455,32 @@ mod tests {
             }
             assert!(sharded.bin_histograms(&[]).is_empty());
         }
+    }
+
+    #[test]
+    fn nested_fan_out_terminates_and_matches_unsharded() {
+        // Two local shards, each wide enough (≥ 512 words) that its leg splits its own
+        // sweep on the pool: at a budget of 4 each of the 2 legs gets an inner budget
+        // of 2, so pool shares fan out from inside pool shares.
+        let n = 2 * 64 * 512 + 300;
+        let db = TransactionDb::from_transactions(
+            (0..n)
+                .map(|t| {
+                    (0..10u32)
+                        .filter(|&j| (t * 17 + j as usize * 5).is_multiple_of(j as usize + 2))
+                        .collect::<Vec<_>>()
+                })
+                .collect(),
+        );
+        let bases = [set(&[0, 1, 2, 3, 4]), set(&[5, 6, 7]), set(&[8, 9, 0])];
+        let expected = VerticalIndex::build(&db).bin_histograms(&bases, 1);
+        let sharded = ShardedDb::partition(&db, 2);
+        pb_fim::pool::set_parallelism_override(Some(4));
+        let merged = sharded.bin_histograms(&bases);
+        let supports = sharded.supports(&bases);
+        pb_fim::pool::set_parallelism_override(None);
+        assert_eq!(merged, expected);
+        assert_eq!(supports, db.supports(&bases));
     }
 
     #[test]
