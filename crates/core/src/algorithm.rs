@@ -21,10 +21,9 @@ use pb_dp::exponential_mechanism;
 use pb_dp::{sample_without_replacement, DpError, Epsilon, ExponentialScale, PrivacyBudget};
 use pb_fim::itemset::{Item, ItemSet};
 use pb_fim::topk::top_k_itemsets;
-use pb_fim::{TransactionDb, VerticalIndex};
+use pb_fim::{PairCounts, TransactionDb, VerticalIndex};
 use pb_shard::ShardedDb;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// The counting engine one run executes against. Which variant is in play never changes
 /// the released bytes (both produce identical exact counts and consume the same noise
@@ -72,7 +71,7 @@ enum Counter<'a> {
 }
 
 impl Counter<'_> {
-    fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
+    fn pair_counts(&self, items: &ItemSet) -> PairCounts {
         match self {
             Counter::Restricted(index) => index.pair_counts(items),
             Counter::Sharded(s) => s.pair_counts(items),
@@ -359,14 +358,7 @@ impl PrivBasis {
                     // Exact pair supports from whichever engine is counting: the
                     // restricted index or the per-shard merge — identical integers.
                     let pair_counts = counter.pair_counts(&frequent_items);
-                    self.select_frequent_pairs(
-                        rng,
-                        n,
-                        &pair_counts,
-                        &frequent_items,
-                        lambda2,
-                        eps_pairs,
-                    )?
+                    self.select_frequent_pairs(rng, n, &pair_counts, lambda2, eps_pairs)?
                 }
                 _ => Vec::new(),
             };
@@ -469,27 +461,20 @@ impl PrivBasis {
         &self,
         rng: &mut R,
         n: usize,
-        pair_counts: &BTreeMap<(Item, Item), usize>,
-        frequent_items: &ItemSet,
+        pair_counts: &PairCounts,
         lambda2: usize,
         eps: Epsilon,
     ) -> Result<Vec<(Item, Item)>, PrivBasisError> {
-        // Candidate set: every pair of selected items, including pairs that never co-occur.
-        let items = frequent_items.items();
-        let mut candidates: Vec<(Item, Item)> =
-            Vec::with_capacity(items.len() * (items.len() - 1) / 2);
-        for i in 0..items.len() {
-            for j in (i + 1)..items.len() {
-                candidates.push((items[i], items[j]));
-            }
-        }
-        if candidates.is_empty() {
+        // Candidate set: every pair of selected items, including pairs that never
+        // co-occur, in the flat order the counts come in.
+        if pair_counts.is_empty() {
             return Ok(Vec::new());
         }
-        let lambda2 = lambda2.clamp(1, candidates.len());
-        let qualities: Vec<f64> = candidates
+        let lambda2 = lambda2.clamp(1, pair_counts.len());
+        let qualities: Vec<f64> = pair_counts
+            .counts()
             .iter()
-            .map(|p| self.quality(pair_counts.get(p).copied().unwrap_or(0), n))
+            .map(|&c| self.quality(c, n))
             .collect();
         let per_draw = eps.split(lambda2);
         // audit:allow(noise-seam): GetFreqElements (Algorithm 2) — this draw IS the mechanism; its ε comes out of the α₂ split
@@ -501,6 +486,7 @@ impl PrivBasis {
             per_draw,
             ExponentialScale::OneSided,
         )?;
+        let candidates: Vec<(Item, Item)> = pair_counts.iter().map(|(pair, _)| pair).collect();
         Ok(picked.into_iter().map(|i| candidates[i]).collect())
     }
 

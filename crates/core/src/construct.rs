@@ -12,9 +12,20 @@
 //! `F ∪ P`: merging pairs of `B₁` bases while it helps (fewer bases ⇒ less noise per bin, but
 //! longer bases ⇒ exponentially more bins per reconstruction), and dissolving `B₂` groups into
 //! other bases when that helps. Basis length never exceeds `max_basis_len`.
+//!
+//! ## Scoring candidates
+//!
+//! Each pass scores every candidate merge or dissolve, so the scoring is the work of
+//! the construction. F's items are mapped to bit positions once, and every basis and
+//! query becomes a bitset of `⌈|F|/64⌉` words (any |F|: λ exceeds 128 at large k). A
+//! candidate is written into one reused scratch list — the groups' words with the
+//! merge or dissolve applied — and scored there by the variance module's objective,
+//! which normalises the list on indices exactly as `BasisSet::new` would and sums the
+//! error variances in the same float order. No candidate `BasisSet` is built; only the
+//! winner of the last pass becomes one.
 
 use crate::basis::BasisSet;
-use crate::variance::average_variance;
+use crate::variance::{count, ones, BitSets, Objective};
 use pb_fim::itemset::{Item, ItemSet};
 use pb_graph::bron_kerbosch::maximal_cliques_with_min_size;
 use pb_graph::UndirectedGraph;
@@ -50,15 +61,14 @@ pub fn construct_basis_set(
         }
     }
 
+    // Every basis and query is a bitset over F's items.
+    let universe = frequent_items.items();
+
     // B1: maximal cliques of size >= 2, split if they exceed the length cap.
-    let mut b1: Vec<ItemSet> = Vec::new();
+    let mut b1 = BitSets::new(universe.len());
     for clique in maximal_cliques_with_min_size(&graph, 2) {
-        if clique.len() <= max_basis_len {
-            b1.push(ItemSet::new(clique));
-        } else {
-            for chunk in clique.chunks(max_basis_len) {
-                b1.push(ItemSet::new(chunk.to_vec()));
-            }
+        for chunk in clique.chunks(max_basis_len) {
+            b1.push_itemset(universe, &ItemSet::new(chunk.to_vec()));
         }
     }
 
@@ -67,10 +77,10 @@ pub fn construct_basis_set(
         .iter()
         .filter(|i| !paired_items.contains(i))
         .collect();
-    let mut b2: Vec<ItemSet> = unpaired
-        .chunks(3)
-        .map(|chunk| ItemSet::new(chunk.to_vec()))
-        .collect();
+    let mut b2 = BitSets::new(universe.len());
+    for chunk in unpaired.chunks(3) {
+        b2.push_itemset(universe, &ItemSet::new(chunk.to_vec()));
+    }
 
     // Queries: every frequent item and every frequent pair.
     let mut queries: Vec<ItemSet> = frequent_items.iter().map(ItemSet::singleton).collect();
@@ -79,22 +89,20 @@ pub fn construct_basis_set(
             queries.push(ItemSet::pair(a, b));
         }
     }
+    let mut objective = Objective::new(universe, &queries, UNCOVERED_PENALTY);
+    // Each candidate basis list is written here, scored, and overwritten by the next.
+    let mut candidate = BitSets::new(universe.len());
 
     // Pass 1: greedily merge bases of B1 while that reduces the average error variance.
     loop {
-        let current = average_variance(&assemble(&b1, &b2), &queries, UNCOVERED_PENALTY);
+        let current = objective.average(concat(&mut candidate, &b1, &b2));
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..b1.len() {
             for j in (i + 1)..b1.len() {
-                let merged = b1[i].union(&b1[j]);
-                if merged.len() > max_basis_len {
+                if !merge_into(&mut candidate, &b1, &b2, i, j, max_basis_len) {
                     continue;
                 }
-                let mut candidate = b1.clone();
-                candidate[i] = merged;
-                candidate.remove(j);
-                let ev = average_variance(&assemble(&candidate, &b2), &queries, UNCOVERED_PENALTY);
-                let reduction = current - ev;
+                let reduction = current - objective.average(&candidate);
                 if reduction > 1e-12 && best.is_none_or(|(_, _, r)| reduction > r) {
                     best = Some((i, j, reduction));
                 }
@@ -102,8 +110,10 @@ pub fn construct_basis_set(
         }
         match best {
             Some((i, j, _)) => {
-                let merged = b1[i].union(&b1[j]);
-                b1[i] = merged;
+                let merged = b1.get(j).to_vec();
+                for (acc, x) in b1.get_mut(i).iter_mut().zip(merged) {
+                    *acc |= x;
+                }
                 b1.remove(j);
             }
             None => break,
@@ -112,75 +122,101 @@ pub fn construct_basis_set(
 
     // Pass 2: try dissolving B2 groups into the smallest existing bases.
     loop {
-        let current = average_variance(&assemble(&b1, &b2), &queries, UNCOVERED_PENALTY);
-        let mut best: Option<(usize, Vec<ItemSet>, Vec<ItemSet>, f64)> = None;
+        let current = objective.average(concat(&mut candidate, &b1, &b2));
+        let mut best: Option<(usize, f64)> = None;
         for i in 0..b2.len() {
-            let (candidate_b1, candidate_b2) = dissolve_group(&b1, &b2, i, max_basis_len);
-            let ev = average_variance(
-                &assemble(&candidate_b1, &candidate_b2),
-                &queries,
-                UNCOVERED_PENALTY,
-            );
-            let reduction = current - ev;
-            if reduction > 1e-12 && best.as_ref().is_none_or(|&(_, _, _, r)| reduction > r) {
-                best = Some((i, candidate_b1, candidate_b2, reduction));
+            dissolve_into(&mut candidate, &b1, &b2, i, max_basis_len);
+            let reduction = current - objective.average(&candidate);
+            if reduction > 1e-12 && best.is_none_or(|(_, r)| reduction > r) {
+                best = Some((i, reduction));
             }
         }
         match best {
-            Some((_, new_b1, new_b2, _)) => {
+            Some((i, _)) => {
+                dissolve_into(&mut candidate, &b1, &b2, i, max_basis_len);
+                let mut new_b1 = candidate.clone();
+                b2 = new_b1.split_off(b1.len());
                 b1 = new_b1;
-                b2 = new_b2;
             }
             None => break,
         }
     }
 
-    assemble(&b1, &b2)
-}
-
-/// Combines the two basis groups into a `BasisSet` (which deduplicates and drops redundancy).
-fn assemble(b1: &[ItemSet], b2: &[ItemSet]) -> BasisSet {
-    BasisSet::new(b1.iter().chain(b2.iter()).cloned().collect())
-}
-
-/// Removes group `idx` from `b2` and appends each of its items to the currently smallest basis
-/// that still has room under the length cap (preferring other `B₂` groups, then `B₁`).
-fn dissolve_group(
-    b1: &[ItemSet],
-    b2: &[ItemSet],
-    idx: usize,
-    max_basis_len: usize,
-) -> (Vec<ItemSet>, Vec<ItemSet>) {
-    let mut new_b1 = b1.to_vec();
-    let mut new_b2: Vec<ItemSet> = b2
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != idx)
-        .map(|(_, s)| s.clone())
+    let bases = (0..b1.len())
+        .map(|i| b1.itemset(universe, i))
+        .chain((0..b2.len()).map(|i| b2.itemset(universe, i)))
         .collect();
-    for item in b2[idx].iter() {
-        // Find the smallest basis with room, searching B2 first then B1.
-        let mut target: Option<(bool, usize, usize)> = None; // (is_b1, index, len)
-        for (i, b) in new_b2.iter().enumerate() {
-            if b.len() < max_basis_len && target.is_none_or(|(_, _, l)| b.len() < l) {
-                target = Some((false, i, b.len()));
-            }
-        }
-        for (i, b) in new_b1.iter().enumerate() {
-            if b.len() < max_basis_len && target.is_none_or(|(_, _, l)| b.len() < l) {
-                target = Some((true, i, b.len()));
-            }
-        }
-        match target {
-            Some((false, i, _)) => new_b2[i] = new_b2[i].with_item(item),
-            Some((true, i, _)) => new_b1[i] = new_b1[i].with_item(item),
-            None => {
-                // Nowhere to put it: keep it as its own basis so coverage is preserved.
-                new_b2.push(ItemSet::singleton(item));
-            }
-        }
+    BasisSet::new(bases)
+}
+
+/// Writes `b1` then `b2` into `out`.
+fn concat<'a>(out: &'a mut BitSets, b1: &BitSets, b2: &BitSets) -> &'a BitSets {
+    out.clear();
+    for i in 0..b1.len() {
+        out.push(b1.get(i));
     }
-    (new_b1, new_b2)
+    for i in 0..b2.len() {
+        out.push(b2.get(i));
+    }
+    out
+}
+
+/// Writes into `out` the bases with `b1[i]` replaced by `b1[i] ∪ b1[j]` and `b1[j]`
+/// removed; false (and `out` unspecified) if the union exceeds the length cap.
+fn merge_into(
+    out: &mut BitSets,
+    b1: &BitSets,
+    b2: &BitSets,
+    i: usize,
+    j: usize,
+    max_basis_len: usize,
+) -> bool {
+    out.clear();
+    let merged = out.push_empty();
+    for ((m, &x), &y) in merged.iter_mut().zip(b1.get(i)).zip(b1.get(j)) {
+        *m = x | y;
+    }
+    if count(merged) > max_basis_len {
+        return false;
+    }
+    for t in (0..b1.len()).filter(|&t| t != i && t != j) {
+        out.push(b1.get(t));
+    }
+    for t in 0..b2.len() {
+        out.push(b2.get(t));
+    }
+    true
+}
+
+/// Writes into `out` the bases after dissolving group `idx` of `b2`: `b1`, then `b2`
+/// without the group, each of the group's items (ascending) added to the currently
+/// smallest basis that still has room under the length cap — `B₂` groups first, then
+/// `B₁`, the first of equal lengths — or, where none has room, appended as its own
+/// basis so coverage is preserved. `out[..b1.len()]` is the new `B₁`, the rest the new
+/// `B₂`.
+fn dissolve_into(out: &mut BitSets, b1: &BitSets, b2: &BitSets, idx: usize, max_basis_len: usize) {
+    out.clear();
+    for i in 0..b1.len() {
+        out.push(b1.get(i));
+    }
+    for i in (0..b2.len()).filter(|&i| i != idx) {
+        out.push(b2.get(i));
+    }
+    let n1 = b1.len();
+    for p in ones(b2.get(idx)) {
+        let mut target: Option<(usize, usize)> = None; // (index in out, len)
+        for i in (n1..out.len()).chain(0..n1) {
+            let len = count(out.get(i));
+            if len < max_basis_len && target.is_none_or(|(_, l)| len < l) {
+                target = Some((i, len));
+            }
+        }
+        let bits = match target {
+            Some((i, _)) => out.get_mut(i),
+            None => out.push_empty(),
+        };
+        bits[p / 64] |= 1 << (p % 64);
+    }
 }
 
 #[cfg(test)]

@@ -47,10 +47,13 @@
 //!   order; its position is its id, and its count and variance sit at that index of two
 //!   parallel `Vec<f64>`s. `iter` walks the ids, `get` binary-searches the itemsets, and
 //!   `top_k` ranks ids and clones only the winners.
-//! * **Deduplication by a stable sort.** The `(basis, mask)` entries of all bases are
-//!   stably sorted by their item lists, so a candidate covered by several bases gets one
-//!   id and its estimates merge in basis order — the inverse-variance fold of lines
-//!   16–23 of Algorithm 1, term for term.
+//! * **Per-basis order plus a merge.** Each basis' non-empty subsets are enumerated
+//!   directly in `ItemSet` order — the preorder of its subset tree, `{a₁}, {a₁,a₂},
+//!   {a₁,a₂,a₃}, …, {a₁,a₃}, …` — so nothing inside a basis is compared or sorted. The
+//!   `w` per-basis streams are then merged by their heads, ties going to the lower
+//!   basis: a candidate covered by several bases gets one id and its estimates merge in
+//!   basis order — the inverse-variance fold of lines 16–23 of Algorithm 1, term for
+//!   term. A single basis (the k ≤ 20 shape) is just its own order.
 //! * **Parent edges from basis masks.** Each basis keeps a mask → id table while the
 //!   lattice is built; the parent of `(basis i, mask m)` through bit `b` is
 //!   `table_i[m & !(1 << b)]`. Each candidate's parent ids (one per item, ascending
@@ -239,19 +242,24 @@ pub fn exact_bins_naive(db: &TransactionDb, basis: &ItemSet) -> Vec<u64> {
 /// Superset sums via the zeta transform: `out[mask] = Σ_{super ⊇ mask} bins[super]`,
 /// in `O(ℓ·2^ℓ)`.
 pub fn superset_sums(bins: &[f64]) -> Vec<f64> {
+    let mut out = bins.to_vec();
+    superset_sums_in_place(&mut out);
+    out
+}
+
+/// [`superset_sums`] over `bins` itself.
+fn superset_sums_in_place(bins: &mut [f64]) {
     let n = bins.len();
     debug_assert!(n.is_power_of_two());
     let bits = n.trailing_zeros() as usize;
-    let mut out = bins.to_vec();
     for bit in 0..bits {
         let step = 1usize << bit;
         for mask in 0..n {
             if mask & step == 0 {
-                out[mask] += out[mask | step];
+                bins[mask] += bins[mask | step];
             }
         }
     }
-    out
 }
 
 /// Naive superset sums (the paper's formulation), `O(3^ℓ)` overall; used to cross-check the
@@ -286,6 +294,54 @@ fn assert_basis_len(basis_set: &BasisSet) {
     );
 }
 
+/// One basis' non-empty subsets in `ItemSet` order, which is the preorder of its subset
+/// tree: `{a₁}, {a₁,a₂}, {a₁,a₂,a₃}, …, {a₁,a₃}, …`. The walk keeps the current subset's
+/// bin mask and its items side by side, so each step is one push, pop or replace — no
+/// comparison and no allocation.
+struct SubsetWalk<'a> {
+    basis: &'a [Item],
+    /// The current subset's bin mask; 0 once the walk is done.
+    mask: usize,
+    /// The current subset's items, ascending.
+    items: Vec<Item>,
+}
+
+impl<'a> SubsetWalk<'a> {
+    fn new(basis: &'a [Item]) -> Self {
+        SubsetWalk {
+            basis,
+            mask: 1,
+            items: vec![basis[0]],
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// Steps to the next subset in preorder: extend by the next item if there is one;
+    /// otherwise drop the last item and move the new last item one position on.
+    fn advance(&mut self) {
+        let last = top_bit(self.mask);
+        if last + 1 < self.basis.len() {
+            self.mask |= 1 << (last + 1);
+            self.items.push(self.basis[last + 1]);
+            return;
+        }
+        self.mask ^= 1 << last;
+        self.items.pop();
+        if let Some(slot) = self.items.last_mut() {
+            let prev = top_bit(self.mask);
+            self.mask ^= (1 << prev) | (1 << (prev + 1));
+            *slot = self.basis[prev + 1];
+        }
+    }
+}
+
+fn top_bit(mask: usize) -> usize {
+    (usize::BITS - 1 - mask.leading_zeros()) as usize
+}
+
 /// Shared reconstruction: adds noise to the exact histograms, runs the superset zeta
 /// transform, and lays every candidate out on the lattice — an estimate covered by
 /// several bases merged inverse-variance in basis order, parent edges read off each
@@ -296,70 +352,76 @@ fn reconstruct(
     exact_hists: Vec<Vec<u64>>,
 ) -> NoisyCandidateCounts {
     let bases = basis_set.bases();
-    // One entry `(basis, mask)` per non-empty subset of each basis, in basis then mask
-    // order, with its superset sum in `sums[e]` and its members in one flat buffer:
-    // `members[member_start[e]..member_start[e + 1]]`.
-    let mut entries: Vec<(usize, usize)> = Vec::new();
-    let mut sums: Vec<f64> = Vec::new();
-    let mut members: Vec<Item> = Vec::new();
-    let mut member_start: Vec<usize> = vec![0];
-    for (b, ((basis, noise), hist)) in bases.iter().zip(noise_vecs).zip(exact_hists).enumerate() {
-        let bins: Vec<f64> = noise
-            .iter()
-            .zip(&hist)
-            .map(|(n, &c)| n + c as f64)
-            .collect();
-        let items = basis.items();
-        for (mask, sum) in superset_sums(&bins).into_iter().enumerate().skip(1) {
-            members.extend(
-                items
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| mask & (1 << bit) != 0)
-                    .map(|(_, &i)| i),
-            );
-            member_start.push(members.len());
-            entries.push((b, mask));
-            sums.push(sum);
-        }
+    // Each basis' superset sums, in place over its noisy bins.
+    let sums: Vec<Vec<f64>> = noise_vecs
+        .into_iter()
+        .zip(exact_hists)
+        .map(|(mut bins, hist)| {
+            for (bin, &c) in bins.iter_mut().zip(&hist) {
+                *bin += c as f64;
+            }
+            superset_sums_in_place(&mut bins);
+            bins
+        })
+        .collect();
+
+    // Merge the per-basis walks by their heads. `pending` holds the live walks sorted
+    // descending by (head, basis), so the smallest head is last and walks sharing it
+    // pop in basis order: folding them in that order replays the float sequence of
+    // folding the bases in one after another (lines 16–23 of Algorithm 1).
+    let mut walks: Vec<SubsetWalk> = bases.iter().map(|b| SubsetWalk::new(b.items())).collect();
+    fn key<'w>(walks: &'w [SubsetWalk], b: usize) -> (&'w [Item], usize) {
+        (&walks[b].items, b)
     }
-    let members_of = |e: usize| &members[member_start[e]..member_start[e + 1]];
-
-    // Item slices compare like itemsets, so a stable sort puts the entries in `ItemSet`
-    // order while keeping one candidate's entries in basis order: merging them below
-    // replays the float sequence of folding the bases in one after another.
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by(|&a, &b| members_of(a).cmp(members_of(b)));
-
+    let mut pending: Vec<usize> = (0..walks.len()).collect();
+    pending.sort_by(|&a, &b| key(&walks, b).cmp(&key(&walks, a)));
     let mut tables: Vec<Vec<u32>> = bases.iter().map(|b| vec![0; 1 << b.len()]).collect();
-    let mut first_entry: Vec<usize> = Vec::new();
+    let mut first_entry: Vec<(usize, usize)> = Vec::new();
     let mut result = NoisyCandidateCounts::default();
-    for &e in &order {
-        let (b, mask) = entries[e];
-        let set = members_of(e);
-        let variance_units = 2f64.powi((bases[b].len() - set.len()) as i32);
-        if result.sets.last().is_some_and(|last| last.items() == set) {
-            // Inverse-variance weighting (lines 21–23 of Algorithm 1).
-            let id = result.sets.len() - 1;
-            let v = result.variances[id];
-            let nv = variance_units;
-            result.counts[id] = (nv / (v + nv)) * result.counts[id] + (v / (v + nv)) * sums[e];
-            result.variances[id] = v * nv / (v + nv);
-        } else {
-            let itemset = ItemSet::from_sorted(set.to_vec()).expect("basis items are sorted");
-            result.sets.push(itemset);
-            result.counts.push(sums[e]);
-            result.variances.push(variance_units);
-            first_entry.push(e);
+    let mut ties: Vec<usize> = Vec::with_capacity(walks.len());
+    while let Some(head) = pending.pop() {
+        ties.clear();
+        ties.push(head);
+        while let Some(&next) = pending.last() {
+            if walks[next].items != walks[head].items {
+                break;
+            }
+            ties.push(pending.pop().expect("peeked"));
         }
-        tables[b][mask] = (result.sets.len() - 1) as u32;
+        let id = result.sets.len();
+        for (t, &b) in ties.iter().enumerate() {
+            let walk = &walks[b];
+            let sum = sums[b][walk.mask];
+            let variance_units = 2f64.powi((bases[b].len() - walk.items.len()) as i32);
+            if t == 0 {
+                let itemset =
+                    ItemSet::from_sorted(walk.items.clone()).expect("basis items are sorted");
+                result.sets.push(itemset);
+                result.counts.push(sum);
+                result.variances.push(variance_units);
+                first_entry.push((b, walk.mask));
+            } else {
+                // Inverse-variance weighting (lines 21–23 of Algorithm 1).
+                let v = result.variances[id];
+                let nv = variance_units;
+                result.counts[id] = (nv / (v + nv)) * result.counts[id] + (v / (v + nv)) * sum;
+                result.variances[id] = v * nv / (v + nv);
+            }
+            tables[b][walk.mask] = id as u32;
+        }
+        for &b in &ties {
+            walks[b].advance();
+            if !walks[b].is_done() {
+                let at = pending.partition_point(|&p| key(&walks, p) > key(&walks, b));
+                pending.insert(at, b);
+            }
+        }
     }
 
     // The parent of (basis b, mask m) through bit `bit` is `tables[b][m & !bit]`; bits
     // ascend with items, so each parent list is in ascending removed-item order.
     result.parent_start.push(0);
-    for &e in &first_entry {
-        let (b, mask) = entries[e];
+    for &(b, mask) in &first_entry {
         if mask.count_ones() >= 2 {
             let mut rest = mask;
             while rest != 0 {

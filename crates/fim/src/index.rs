@@ -9,7 +9,8 @@
 //!
 //! * `support(X)` — AND the `|X|` item bitmaps, popcount,
 //! * `supports(C)` — the same per candidate, reusing one scratch buffer,
-//! * `pair_counts(F)` — AND/popcount per pair, `O(|F|² · N/64)`,
+//! * `pair_counts(F)` — AND/popcount per pair, `O(|F|² · N/64)`, returned flat (one
+//!   count per pair, zeros included) and split on the counting pool like a sweep,
 //! * `bin_histogram(B)` — the `BasisFreq` kernel: sweep 64-transaction blocks,
 //!   transposing the ℓ item words into per-transaction bin masks (§4.1's
 //!   `t ∩ Bᵢ` bins) without ever touching the row representation.
@@ -47,8 +48,8 @@
 
 use crate::bitmap::Bitmap;
 use crate::itemset::{Item, ItemSet};
+use crate::pairs::{num_pairs, PairCounts};
 use crate::transaction::TransactionDb;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub use crate::pool::{available_parallelism, set_parallelism_override};
@@ -290,23 +291,41 @@ impl VerticalIndex {
         }
     }
 
-    /// Support counts of all unordered pairs over `items` with non-zero support — same
-    /// contract as [`TransactionDb::pair_counts`], computed as AND/popcount per pair.
-    pub fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
-        let present: Vec<(Item, &Bitmap)> = items
+    /// The support of every unordered pair of `items`, zeros included, in the flat
+    /// order of [`PairCounts`] — with the whole thread budget for its split.
+    pub fn pair_counts(&self, items: &ItemSet) -> PairCounts {
+        self.pair_counts_with(items, available_parallelism())
+    }
+
+    /// [`VerticalIndex::pair_counts`] within a budget of `threads` workers: the word
+    /// range is split into shares on the counting pool under the same rule as a
+    /// histogram sweep, and the per-share counts are summed.
+    pub fn pair_counts_with(&self, items: &ItemSet, threads: usize) -> PairCounts {
+        let slots: Vec<Option<usize>> = items
             .iter()
-            .filter_map(|item| self.item_bitmap(item).map(|b| (item, b)))
+            .map(|item| self.items.binary_search(&item).ok())
             .collect();
-        let mut counts = BTreeMap::new();
-        for i in 0..present.len() {
-            for j in (i + 1)..present.len() {
-                let c = present[i].1.and_popcount(present[j].1);
-                if c > 0 {
-                    counts.insert((present[i].0, present[j].0), c);
+        let num_words = self.num_transactions.div_ceil(64);
+        let shares = split_shares(num_words, threads);
+        let counts = if shares == 1 {
+            count_pairs(&self.bitmaps, &slots, 0..num_words)
+        } else {
+            let share_len = num_words.div_ceil(shares);
+            let bitmaps = Arc::clone(&self.bitmaps);
+            let mut partials = crate::pool::run(shares, shares, move |c, _| {
+                let range = c * share_len..((c + 1) * share_len).min(num_words);
+                count_pairs(&bitmaps, &slots, range)
+            })
+            .into_iter();
+            let mut counts = partials.next().expect("at least one share");
+            for partial in partials {
+                for (acc, x) in counts.iter_mut().zip(partial) {
+                    *acc += x;
                 }
             }
-        }
-        counts
+            counts
+        };
+        PairCounts::from_flat(items, counts)
     }
 
     /// The `BasisFreq` kernel: the exact bin histogram of `basis`.
@@ -379,11 +398,7 @@ impl VerticalIndex {
             .collect();
         let num_words = self.num_transactions.div_ceil(64);
         let n = self.num_transactions;
-        let chunks = if num_words >= PAR_MIN_WORDS {
-            threads.min(num_words / (PAR_MIN_WORDS / 2)).max(1)
-        } else {
-            1
-        };
+        let chunks = split_shares(num_words, threads);
         if chunks == 1 {
             return sweep_range(&self.bitmaps, &slots, 0..num_words, n);
         }
@@ -422,6 +437,57 @@ impl VerticalIndex {
             .collect();
         TransactionDb::from_itemsets(itemsets)
     }
+}
+
+/// How many shares a word-range kernel over `num_words` words splits into within a
+/// budget of `threads`: one below `PAR_MIN_WORDS`, and never a share under half of it.
+fn split_shares(num_words: usize, threads: usize) -> usize {
+    if num_words >= PAR_MIN_WORDS {
+        threads.min(num_words / (PAR_MIN_WORDS / 2)).max(1)
+    } else {
+        1
+    }
+}
+
+/// Words per step of [`count_pairs`]: 256 words (2 KiB) of each item stay in L1 while
+/// every pair over them is counted.
+const PAIR_BLOCK_WORDS: usize = 256;
+
+/// The flat pair counts (see [`PairCounts`]) of the items at `slots` of `bitmaps`
+/// (`None` for an unindexed item, whose pairs count 0) over `word_range`, one block of
+/// words at a time.
+fn count_pairs(
+    bitmaps: &[Bitmap],
+    slots: &[Option<usize>],
+    word_range: std::ops::Range<usize>,
+) -> Vec<usize> {
+    let mut counts = vec![0usize; num_pairs(slots.len())];
+    let mut start = word_range.start;
+    while start < word_range.end {
+        let end = (start + PAIR_BLOCK_WORDS).min(word_range.end);
+        let block: Vec<Option<&[u64]>> = slots
+            .iter()
+            .map(|slot| slot.map(|s| &bitmaps[s].words()[start..end]))
+            .collect();
+        let mut at = 0;
+        for (i, a) in block.iter().enumerate() {
+            let rest = &block[i + 1..];
+            if let Some(a) = a {
+                for (count, b) in counts[at..at + rest.len()].iter_mut().zip(rest) {
+                    if let Some(b) = b {
+                        *count += a
+                            .iter()
+                            .zip(*b)
+                            .map(|(x, y)| (x & y).count_ones() as usize)
+                            .sum::<usize>();
+                    }
+                }
+            }
+            at += rest.len();
+        }
+        start = end;
+    }
+    counts
 }
 
 /// Splits an item-major flat word array (`num_words` words per item) into `num_items`

@@ -46,6 +46,7 @@ pub mod index;
 pub mod io;
 pub mod itemset;
 pub mod maximal;
+pub mod pairs;
 pub mod pool;
 pub mod rules;
 pub mod stats;
@@ -55,6 +56,7 @@ pub mod transaction;
 pub use bitmap::Bitmap;
 pub use index::VerticalIndex;
 pub use itemset::{Item, ItemSet};
+pub use pairs::PairCounts;
 pub use rules::AssociationRule;
 pub use topk::FrequentItemset;
 pub use transaction::TransactionDb;

@@ -20,7 +20,9 @@
 //! bin count exceeds [`MAX_TOTAL_BINS`].
 
 use crate::protocol::{ErrorCode, Op, Response, WireError};
+use pb_fim::pairs::num_pairs;
 use pb_fim::{ItemSet, TransactionDb, VerticalIndex};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -78,13 +80,28 @@ pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Res
         }),
         Op::ShardPairs { key, items } => with_sealed(&store, key, |_, index| {
             // One count per unordered pair in *request order* (i < j), zeros
-            // included: the coordinator merges these positionally across shards.
-            let counts = index.pair_counts(&ItemSet::new(items.clone()));
-            let mut out = Vec::new();
-            for i in 0..items.len() {
-                for j in i + 1..items.len() {
-                    let pair = (items[i].min(items[j]), items[i].max(items[j]));
-                    out.push(counts.get(&pair).copied().unwrap_or(0) as u64);
+            // included: the coordinator merges these positionally across shards. A
+            // sorted, repeat-free request (what the coordinator sends) is already the
+            // flat order; any other is mapped onto it pair by pair, and an item
+            // paired with a repeat of itself counts 0.
+            let set = ItemSet::new(items.clone());
+            let counts = index.pair_counts(&set);
+            if set.items() == items.as_slice() {
+                return Response::ShardCounts(counts.counts().iter().map(|&c| c as u64).collect());
+            }
+            let at: Vec<usize> = items
+                .iter()
+                .map(|item| set.items().partition_point(|x| x < item))
+                .collect();
+            let mut out = Vec::with_capacity(num_pairs(items.len()));
+            for (i, &a) in at.iter().enumerate() {
+                for &b in &at[i + 1..] {
+                    let count = match a.cmp(&b) {
+                        Ordering::Less => counts.at(a, b),
+                        Ordering::Greater => counts.at(b, a),
+                        Ordering::Equal => 0,
+                    };
+                    out.push(count as u64);
                 }
             }
             Response::ShardCounts(out)
@@ -177,4 +194,59 @@ fn with_sealed(
         )),
         Some(WorkerShard::Sealed { db, index }) => f(db, index),
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+
+    fn op_pairs(items: &[u32]) -> Op {
+        Op::ShardPairs {
+            key: "k".into(),
+            items: items.to_vec(),
+        }
+    }
+
+    #[test]
+    fn shard_pairs_replies_in_request_order_for_any_items() {
+        let rows: Vec<Vec<u32>> = (0..40u32)
+            .map(|t| (0..6).filter(|j| (t + j) % (j + 2) == 0).collect())
+            .collect();
+        let store = Mutex::new(ShardStore::new());
+        let load = Op::ShardLoad {
+            key: "k".into(),
+            rows: rows.clone(),
+            reset: true,
+            seal: true,
+        };
+        assert!(matches!(
+            run_shard_op(&load, &store),
+            Response::ShardLoaded { rows: 40, .. }
+        ));
+        let db = TransactionDb::from_transactions(rows);
+        // Unsorted, repeated and absent (9) items: request-order pairs, an item with a
+        // repeat of itself 0, each other pair its row-scan support.
+        let items = [4, 1, 4, 9, 0, 2, 1];
+        let sparse = db.pair_counts(&ItemSet::new(items.to_vec()));
+        let mut expected = Vec::new();
+        for (i, &a) in items.iter().enumerate() {
+            for &b in &items[i + 1..] {
+                expected.push(sparse.get(&(a.min(b), a.max(b))).copied().unwrap_or(0) as u64);
+            }
+        }
+        let reply = run_shard_op(&op_pairs(&items), &store);
+        assert_eq!(reply, Response::ShardCounts(expected));
+        // The reply bytes are frozen wire: pinned as the row-by-row implementation
+        // answered them.
+        assert_eq!(reply.encode(2, Some("p")), PINNED_REPLY);
+        // A sorted request is the flat order itself.
+        let sorted = run_shard_op(&op_pairs(&[0, 1, 2, 4]), &store);
+        let flat = VerticalIndex::build(&db).pair_counts(&ItemSet::new(vec![0, 1, 2, 4]));
+        let flat: Vec<u64> = flat.counts().iter().map(|&c| c as u64).collect();
+        assert_eq!(sorted, Response::ShardCounts(flat));
+    }
+
+    const PINNED_REPLY: &str =
+        r#"{"v":2,"id":"p","status":"ok","counts":[7,0,0,7,4,7,7,0,7,4,0,0,7,4,7,0,0,0,10,7,4]}"#;
 }

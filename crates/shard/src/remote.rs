@@ -36,8 +36,9 @@
 //! both sides of each round trip, so chaos schedules can kill any leg
 //! deterministically.
 
-use pb_fim::itemset::{Item, ItemSet};
-use pb_fim::TransactionDb;
+use pb_fim::itemset::ItemSet;
+use pb_fim::pairs::num_pairs;
+use pb_fim::{PairCounts, TransactionDb};
 use pb_proto::{ClientError, ErrorCode, PbClient};
 use std::collections::BTreeMap;
 use std::io;
@@ -311,37 +312,28 @@ impl RemoteShard {
         }
     }
 
-    /// Shard-local pair counts over `items` (non-zero pairs only, like the local
-    /// index). The wire carries one count per `(items[i], items[j])` with `i < j`
-    /// in request order — zeros included — so per-shard results merge positionally
-    /// even when shards disagree on which pairs are non-zero. Empty on failure.
-    pub fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
+    /// Shard-local pair counts over `items`. The wire carries one count per
+    /// `(items[i], items[j])` with `i < j` in request order — zeros included — which
+    /// is the flat order of [`PairCounts`], so per-shard results merge positionally.
+    /// Zeros on failure.
+    pub fn pair_counts(&self, items: &ItemSet) -> PairCounts {
         let flat: Vec<u32> = items.items().to_vec();
-        let expected = flat.len() * flat.len().saturating_sub(1) / 2;
+        let expected = num_pairs(flat.len());
         let counts = self.call(&|client| client.shard_pairs(&self.key, flat.clone()));
-        let counts = match counts {
-            Some(counts) if counts.len() == expected => counts,
+        match counts {
+            Some(counts) if counts.len() == expected => {
+                let counts = counts.into_iter().map(|c| c as usize).collect();
+                PairCounts::from_flat(items, counts)
+            }
             Some(counts) => {
                 self.fail(format!(
                     "expected {expected} pair counts, got {}",
                     counts.len()
                 ));
-                return BTreeMap::new();
+                PairCounts::zeros(items)
             }
-            None => return BTreeMap::new(),
-        };
-        let mut merged = BTreeMap::new();
-        let mut at = 0usize;
-        for i in 0..flat.len() {
-            for j in i + 1..flat.len() {
-                let count = counts[at];
-                at += 1;
-                if count > 0 {
-                    merged.insert((flat[i], flat[j]), count as usize);
-                }
-            }
+            None => PairCounts::zeros(items),
         }
-        merged
     }
 
     /// Shard-local bin histograms, one per basis in request order (each of length

@@ -3,7 +3,7 @@
 use crate::plan::ShardPlan;
 use crate::remote::{Fabric, RemoteShard, ShardBackend};
 use pb_fim::itemset::{Item, ItemSet};
-use pb_fim::{TransactionDb, VerticalIndex};
+use pb_fim::{PairCounts, TransactionDb, VerticalIndex};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
@@ -310,21 +310,19 @@ impl ShardedDb {
         merged
     }
 
-    /// Support counts of all unordered pairs over `items` with non-zero support — the
-    /// same contract as [`TransactionDb::pair_counts`], merged by summation.
-    pub fn pair_counts(&self, items: &ItemSet) -> BTreeMap<(Item, Item), usize> {
-        let items = items.clone();
+    /// The support of every unordered pair of `items`, zeros included, in the flat
+    /// order of [`PairCounts`]: per-shard counts merged position by position.
+    pub fn pair_counts(&self, items: &ItemSet) -> PairCounts {
+        let shared = items.clone();
         let mut per_shard = self
-            .fan_out(move |shard, backend, _| match backend {
-                ShardBackend::Local => shard.index().pair_counts(&items),
-                ShardBackend::Remote(r) => r.pair_counts(&items),
+            .fan_out(move |shard, backend, inner| match backend {
+                ShardBackend::Local => shard.index().pair_counts_with(&shared, inner),
+                ShardBackend::Remote(r) => r.pair_counts(&shared),
             })
             .into_iter();
-        let mut merged = per_shard.next().unwrap_or_default();
+        let mut merged = per_shard.next().unwrap_or_else(|| PairCounts::zeros(items));
         for counts in per_shard {
-            for (pair, count) in counts {
-                *merged.entry(pair).or_insert(0) += count;
-            }
+            merged.add(&counts);
         }
         merged
     }

@@ -1,6 +1,7 @@
 //! The remote shard backend against an in-process fake worker: placement equality
-//! (local / remote / mixed counts are identical), fail-closed failure accounting,
-//! and transparent re-seed of a restarted worker.
+//! (local / remote / mixed counts are identical), flat pair counts against the row
+//! scan (shard counts, nested pool splits, a remote shard), fail-closed failure
+//! accounting, and transparent re-seed of a restarted worker.
 
 use pb_fim::itemset::ItemSet;
 use pb_fim::{TransactionDb, VerticalIndex};
@@ -279,4 +280,46 @@ fn restarted_worker_is_reseeded_transparently() {
     assert_eq!(sharded.fabric_failures(), 0);
     assert!(!sharded.fabric_down());
     restarted.stop();
+}
+
+#[test]
+fn flat_pair_counts_match_the_row_scan() {
+    // At S = 3 each shard spans more than 256 words, so at a budget of 4 every shard
+    // leg splits its own word range on the pool: the nested split. Item 20 occurs only
+    // in the first shard, item 21 only in the last, item 99 nowhere.
+    let n = 3 * 64 * 260;
+    let rows: Vec<Vec<u32>> = (0..n)
+        .map(|t| {
+            let mut row: Vec<u32> = (0..8u32)
+                .filter(|&j| (t * 13 + j as usize * 7).is_multiple_of(j as usize + 2))
+                .collect();
+            if t < 500 {
+                row.push(20);
+            }
+            if t >= n - 500 {
+                row.push(21);
+            }
+            row
+        })
+        .collect();
+    let db = TransactionDb::from_transactions(rows);
+    let items = set(&[0, 1, 2, 3, 4, 5, 6, 7, 20, 21, 99]);
+    let expected = db.pair_counts(&items);
+    for threads in [1, 4] {
+        pb_fim::pool::set_parallelism_override(Some(threads));
+        for shards in 1..=3 {
+            let counts = ShardedDb::partition(&db, shards).pair_counts(&items);
+            assert_eq!(counts.len(), 55, "one count per pair, zeros included");
+            assert_eq!(counts, expected, "S={shards} at {threads} threads");
+        }
+    }
+    pb_fim::pool::set_parallelism_override(None);
+
+    // One remote shard beside a local one: the wire vector merges by position.
+    let worker = FakeWorker::spawn();
+    let sharded = place(&db, 2, &[worker.addr]);
+    assert_eq!(sharded.num_remote_shards(), 1);
+    assert_eq!(sharded.pair_counts(&items), expected);
+    assert_eq!(sharded.fabric_failures(), 0);
+    worker.stop();
 }
