@@ -2,7 +2,8 @@
 //!
 //! The library crates answer one-shot invocations; this crate turns them into a serving
 //! system. A [`DatasetRegistry`] holds named [`TransactionDb`](pb_fim::TransactionDb)s,
-//! each with:
+//! each registered from one [`RegisterSpec`] (name, rows or file, shard layout, worker
+//! placement, and central budget or LDP channel) and each with:
 //!
 //! * a **cached [`QueryContext`](pb_core::QueryContext)** behind `Arc`, built on first
 //!   use and reused by every later query: the full
@@ -23,7 +24,7 @@
 //!   and a restarted — or `kill -9`ed — server recovers datasets, spent ε, and query
 //!   counters exactly. Spent budget is the DP guarantee; it never resets with the
 //!   process,
-//! * optional **sharding** ([`DatasetRegistry::register_sharded`], CLI `--shards`):
+//! * optional **sharding** ([`RegisterSpec::shards`], CLI `--shards`):
 //!   rows are partitioned across `pb_shard::ShardedDb` shards, counting fans out and
 //!   merges by summation, and — because noise is drawn once on the merged counts —
 //!   pinned-seed releases are byte-identical for any shard count. The layout is
@@ -90,5 +91,5 @@ pub use persist::{
     DebitJournal, GroupFlush, JournalStats, LedgerState, Manifest, ManifestEntry, StateDir,
 };
 pub use protocol::{QueryRequest, MAX_QUERY_K};
-pub use registry::{DatasetEntry, DatasetRegistry, RegistryError};
+pub use registry::{DataSource, DatasetEntry, DatasetRegistry, Mode, RegisterSpec, RegistryError};
 pub use server::{PbServer, ServiceConfig};

@@ -135,13 +135,92 @@ enum PrivacyMode {
 /// What privacy accounting a registration asks for: a central lifetime budget, or the
 /// LDP channel the rows were already perturbed under client-side.
 #[derive(Debug, Clone)]
-enum ModeSpec {
+pub enum Mode {
+    /// Server-side accounting: every query debits a ledger holding this lifetime ε.
     Central(Epsilon),
+    /// The rows arrived already perturbed under this channel: queries debias and
+    /// debit nothing. The caller owns the claim that the rows really went through it.
     Ldp(LdpChannel),
 }
 
+/// Where a registration's rows come from.
+#[derive(Debug, Clone)]
+pub enum DataSource {
+    /// Rows handed over in memory. They carry no source path, so
+    /// [`DatasetRegistry::recover`] reports the dataset as skipped after a restart.
+    Rows(TransactionDb),
+    /// A FIMI-format file, read before the registry lock is taken. The path is
+    /// recorded in the durable manifest, so the dataset survives a restart.
+    File(String),
+}
+
+/// Everything a dataset declares about itself when it is registered: one value for
+/// the in-process API, both admin register ops, `serve --dataset`, and recovery.
+#[derive(Debug, Clone)]
+pub struct RegisterSpec {
+    /// Name to register the dataset under.
+    pub name: String,
+    /// The rows, in memory or in a file.
+    pub source: DataSource,
+    /// Row-shard count. `None` keeps the layout the durable manifest records for
+    /// `name` (a forgotten flag must not silently reshard to 1); a new name gets 1.
+    /// Sharding never changes released bytes.
+    pub shards: Option<usize>,
+    /// Remote shard-worker addresses: shard `i` lives on `workers[i]`, the remaining
+    /// shards stay local. Each worker is dialed and seeded before registration
+    /// returns; placement never changes released bytes.
+    pub workers: Vec<String>,
+    /// The privacy accounting: a central lifetime budget or an LDP channel.
+    pub mode: Mode,
+}
+
+impl RegisterSpec {
+    /// A central-mode dataset with a lifetime budget of `total_epsilon`, all shards
+    /// local and the shard count left to the manifest (or 1).
+    pub fn central(name: impl Into<String>, source: DataSource, total_epsilon: Epsilon) -> Self {
+        Self::with_mode(name, source, Mode::Central(total_epsilon))
+    }
+
+    /// An LDP dataset whose rows were perturbed client-side under `channel`, all
+    /// shards local and the shard count left to the manifest (or 1).
+    pub fn ldp(name: impl Into<String>, source: DataSource, channel: LdpChannel) -> Self {
+        Self::with_mode(name, source, Mode::Ldp(channel))
+    }
+
+    /// A spec for `mode`, all shards local and the shard count left to the manifest
+    /// (or 1).
+    pub(crate) fn with_mode(name: impl Into<String>, source: DataSource, mode: Mode) -> Self {
+        RegisterSpec {
+            name: name.into(),
+            source,
+            shards: None,
+            workers: Vec::new(),
+            mode,
+        }
+    }
+
+    /// The spec `entry` records, reloading its rows from `path`: the same mode,
+    /// shard layout and worker placement as before the restart.
+    fn recorded(entry: &ManifestEntry, path: String) -> Result<Self, RegistryError> {
+        let channel = entry
+            .ldp
+            .map(|p| LdpChannel::new(p.epsilon_local, p.universe, p.pad as usize))
+            .transpose()
+            .map_err(|e| RegistryError::Io(e.to_string()))?;
+        Ok(RegisterSpec {
+            shards: Some(entry.shards),
+            workers: entry.workers.clone(),
+            ..Self::with_mode(
+                entry.name.clone(),
+                DataSource::File(path),
+                channel.map_or(Mode::Central(entry.epsilon), Mode::Ldp),
+            )
+        })
+    }
+}
+
 /// The wire/manifest form of a channel's parameters.
-fn channel_params(channel: &LdpChannel) -> LdpParams {
+pub(crate) fn channel_params(channel: &LdpChannel) -> LdpParams {
     LdpParams {
         epsilon_local: channel.epsilon_local(),
         universe: channel.universe(),
@@ -461,51 +540,27 @@ impl DatasetRegistry {
         }
     }
 
-    /// The shard layout the durable manifest records for `name`, if any — what a
-    /// re-registration should fall back to when the caller expresses no preference
-    /// (silently resetting a recorded multi-shard layout to 1 would discard it).
-    pub fn recorded_shards(&self, name: &str) -> Option<usize> {
-        let persistence = self.persistence.as_ref()?;
-        persistence
-            .manifest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .map(|entry| entry.shards)
-    }
-
-    /// Registers a dataset under `name` with a lifetime budget of `total_epsilon`.
-    ///
-    /// The dataset is one shard that adopts `db`'s rows (no copy). Its index is *not*
-    /// built here — registration stays cheap and the first query (or an explicit
+    /// Registers a dataset under `name` with a lifetime budget of `total_epsilon`, as
+    /// one local shard that adopts `db`'s rows (no copy). Its index is *not* built
+    /// here: registration stays cheap and the first query (or an explicit
     /// [`DatasetEntry::context`] call during warm-up) pays the build once.
     ///
-    /// In a persistent registry the dataset's journal is opened (inheriting any durable
-    /// spend recorded under this name) and the manifest is updated; datasets registered
-    /// this way carry no source path, so [`DatasetRegistry::recover`] reports them as
-    /// skipped after a restart. Prefer [`DatasetRegistry::register_file`] for data that
-    /// lives in a file.
+    /// In a persistent registry the dataset carries no source path, so
+    /// [`DatasetRegistry::recover`] reports it as skipped after a restart. Register
+    /// data that lives in a file through [`DatasetRegistry::register_spec`] with
+    /// [`DataSource::File`].
     pub fn register(
         &self,
         name: impl Into<String>,
         db: TransactionDb,
         total_epsilon: Epsilon,
     ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(
-            name.into(),
-            db,
-            ModeSpec::Central(total_epsilon),
-            None,
-            1,
-            Vec::new(),
-        )
+        self.register_sharded(name, db, total_epsilon, 1)
     }
 
-    /// [`DatasetRegistry::register`] with the dataset partitioned into `shards` row
-    /// shards: queries count per shard (in parallel) and merge by summation, releasing
-    /// byte-identical output to the unsharded registration for any pinned seed. The
-    /// shard count is recorded in the durable manifest, so a recovered registry
-    /// rebuilds the same layout.
+    /// [`DatasetRegistry::register`] with the dataset partitioned into `shards` local
+    /// row shards: queries count per shard and merge by summation, releasing
+    /// byte-identical output to the unsharded registration for any pinned seed.
     pub fn register_sharded(
         &self,
         name: impl Into<String>,
@@ -513,168 +568,10 @@ impl DatasetRegistry {
         total_epsilon: Epsilon,
         shards: usize,
     ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(
-            name.into(),
-            db,
-            ModeSpec::Central(total_epsilon),
-            None,
-            shards,
-            Vec::new(),
-        )
-    }
-
-    /// [`DatasetRegistry::register_sharded`] with the first `workers.len()` shards
-    /// placed on remote shard-worker processes (shard `i` → `workers[i]`, remaining
-    /// shards local). Each worker is dialed and seeded before this returns; an
-    /// unreachable worker fails the registration. Placement never changes released
-    /// bytes — local, remote, and mixed layouts release byte-identical output for a
-    /// pinned seed.
-    pub fn register_placed(
-        &self,
-        name: impl Into<String>,
-        db: TransactionDb,
-        total_epsilon: Epsilon,
-        shards: usize,
-        workers: Vec<String>,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(
-            name.into(),
-            db,
-            ModeSpec::Central(total_epsilon),
-            None,
-            shards,
-            workers,
-        )
-    }
-
-    /// Registers a FIMI-format dataset file under `name`, recording the path in the
-    /// durable manifest so the dataset survives a restart via
-    /// [`DatasetRegistry::recover`].
-    pub fn register_file(
-        &self,
-        name: impl Into<String>,
-        path: impl Into<String>,
-        total_epsilon: Epsilon,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_file_sharded(name, path, total_epsilon, 1)
-    }
-
-    /// [`DatasetRegistry::register_file`] with a recorded shard layout (see
-    /// [`DatasetRegistry::register_sharded`]).
-    pub fn register_file_sharded(
-        &self,
-        name: impl Into<String>,
-        path: impl Into<String>,
-        total_epsilon: Epsilon,
-        shards: usize,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_file_placed(name, path, total_epsilon, shards, Vec::new())
-    }
-
-    /// [`DatasetRegistry::register_file_sharded`] with a remote worker placement (see
-    /// [`DatasetRegistry::register_placed`]).
-    pub fn register_file_placed(
-        &self,
-        name: impl Into<String>,
-        path: impl Into<String>,
-        total_epsilon: Epsilon,
-        shards: usize,
-        workers: Vec<String>,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        let name = name.into();
-        let path = path.into();
-        let db = pb_fim::io::read_fimi_file(&path)
-            .map_err(|e| RegistryError::Io(format!("failed to read {path}: {e}")))?;
-        self.register_inner(
-            name,
-            db,
-            ModeSpec::Central(total_epsilon),
-            Some(path),
-            shards,
-            workers,
-        )
-    }
-
-    /// Registers a dataset of **already-perturbed** rows under the local-DP workload
-    /// class: the rows were randomized client-side under `channel` (each contributor's
-    /// ε_local was spent at perturbation time), so the entry carries **no budget
-    /// ledger** — queries debias the observed supports and debit nothing.
-    ///
-    /// The caller owns the claim that the rows really went through `channel`; the
-    /// registry records the channel in the durable manifest so recovery rebuilds the
-    /// same debiasing and cross-mode re-registration is refused.
-    pub fn register_ldp(
-        &self,
-        name: impl Into<String>,
-        db: TransactionDb,
-        channel: LdpChannel,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(name.into(), db, ModeSpec::Ldp(channel), None, 1, Vec::new())
-    }
-
-    /// [`DatasetRegistry::register_ldp`] with a shard layout (see
-    /// [`DatasetRegistry::register_sharded`] — sharding never changes released bytes,
-    /// LDP or central).
-    pub fn register_ldp_sharded(
-        &self,
-        name: impl Into<String>,
-        db: TransactionDb,
-        channel: LdpChannel,
-        shards: usize,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(
-            name.into(),
-            db,
-            ModeSpec::Ldp(channel),
-            None,
-            shards,
-            Vec::new(),
-        )
-    }
-
-    /// [`DatasetRegistry::register_ldp_sharded`] with a remote worker placement (see
-    /// [`DatasetRegistry::register_placed`]).
-    pub fn register_ldp_placed(
-        &self,
-        name: impl Into<String>,
-        db: TransactionDb,
-        channel: LdpChannel,
-        shards: usize,
-        workers: Vec<String>,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        self.register_inner(
-            name.into(),
-            db,
-            ModeSpec::Ldp(channel),
-            None,
-            shards,
-            workers,
-        )
-    }
-
-    /// Registers a FIMI-format file of already-perturbed rows under the LDP workload
-    /// class, recording path and channel in the durable manifest (see
-    /// [`DatasetRegistry::register_ldp`]).
-    pub fn register_ldp_file(
-        &self,
-        name: impl Into<String>,
-        path: impl Into<String>,
-        channel: LdpChannel,
-        shards: usize,
-        workers: Vec<String>,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
-        let name = name.into();
-        let path = path.into();
-        let db = pb_fim::io::read_fimi_file(&path)
-            .map_err(|e| RegistryError::Io(format!("failed to read {path}: {e}")))?;
-        self.register_inner(
-            name,
-            db,
-            ModeSpec::Ldp(channel),
-            Some(path),
-            shards,
-            workers,
-        )
+        self.register_spec(RegisterSpec {
+            shards: Some(shards),
+            ..RegisterSpec::central(name, DataSource::Rows(db), total_epsilon)
+        })
     }
 
     /// Re-registers every dataset recorded in the durable manifest (no-op for an
@@ -695,44 +592,18 @@ impl DatasetRegistry {
             if self.get(&entry.name).is_some() {
                 continue;
             }
-            match entry.path {
-                None => report.skipped.push(entry.name),
-                Some(path) => {
-                    // The manifest's shard layout, worker placement, and (for LDP
-                    // datasets) debiasing channel ride along, so the recovered entry
-                    // counts over the same shards — and releases the same bytes — as
-                    // before the restart. One unloadable dataset (moved file, torn
-                    // state, dead worker) must not keep every healthy one down:
-                    // record the failure and keep going.
-                    let reloaded = match entry.ldp {
-                        None => self.register_file_placed(
-                            entry.name.clone(),
-                            path,
-                            entry.epsilon,
-                            entry.shards,
-                            entry.workers.clone(),
-                        ),
-                        Some(params) => LdpChannel::new(
-                            params.epsilon_local,
-                            params.universe,
-                            params.pad as usize,
-                        )
-                        .map_err(|e| RegistryError::Io(e.to_string()))
-                        .and_then(|channel| {
-                            self.register_ldp_file(
-                                entry.name.clone(),
-                                path,
-                                channel,
-                                entry.shards,
-                                entry.workers.clone(),
-                            )
-                        }),
-                    };
-                    match reloaded {
-                        Ok(_) => report.loaded.push(entry.name),
-                        Err(e) => report.failed.push((entry.name, e.to_string())),
-                    }
-                }
+            let Some(path) = entry.path.clone() else {
+                report.skipped.push(entry.name);
+                continue;
+            };
+            // The manifest's shard layout, worker placement, and (for LDP datasets)
+            // debiasing channel ride along, so the recovered entry counts over the same
+            // shards — and releases the same bytes — as before the restart. One
+            // unloadable dataset (moved file, torn state, dead worker) must not keep
+            // every healthy one down: record the failure and keep going.
+            match RegisterSpec::recorded(&entry, path).and_then(|spec| self.register_spec(spec)) {
+                Ok(_) => report.loaded.push(entry.name),
+                Err(e) => report.failed.push((entry.name, e.to_string())),
             }
         }
         Ok(report)
@@ -867,18 +738,51 @@ impl DatasetRegistry {
         Ok(entry)
     }
 
-    fn register_inner(
-        &self,
-        name: String,
-        db: TransactionDb,
-        spec: ModeSpec,
-        source: Option<String>,
-        shards: usize,
-        workers: Vec<String>,
-    ) -> Result<Arc<DatasetEntry>, RegistryError> {
+    /// Registers the dataset `spec` declares: the one registration path behind
+    /// [`DatasetRegistry::register`], the admin register ops, `serve --dataset`, and
+    /// [`DatasetRegistry::recover`].
+    ///
+    /// In a persistent registry a central dataset's journal is opened (inheriting any
+    /// durable spend recorded under this name) and the manifest is updated. An LDP
+    /// dataset gets **no budget ledger** — its contributors' ε_local was spent at
+    /// perturbation time — and only its channel is recorded, so recovery rebuilds the
+    /// same debiasing and a cross-mode re-registration is refused.
+    pub fn register_spec(&self, spec: RegisterSpec) -> Result<Arc<DatasetEntry>, RegistryError> {
+        let RegisterSpec {
+            name,
+            source,
+            shards,
+            workers,
+            mode,
+        } = spec;
+        let (db, source) = match source {
+            DataSource::Rows(db) => (db, None),
+            DataSource::File(path) => {
+                let db = pb_fim::io::read_fimi_file(&path)
+                    .map_err(|e| RegistryError::Io(format!("failed to read {path}: {e}")))?;
+                (db, Some(path))
+            }
+        };
         if db.is_empty() {
             return Err(RegistryError::EmptyDataset(name));
         }
+        // Hold the write lock across the whole registration (journal open included):
+        // registrations are rare, and this makes duplicate-check → journal → insert one
+        // atomic step, so two racing registrations of one name cannot both open the
+        // journal.
+        let mut map = self.write();
+        let recorded = self.persistence.as_ref().and_then(|p| {
+            p.manifest
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&name)
+                .map(|recorded| (recorded.shards, recorded.consistency))
+        });
+        // No explicit shard count keeps the recorded layout; a new name gets 1. The
+        // consistency knob survives unregister/re-register cycles the same way (a new
+        // name defaults to on).
+        let shards = shards.or(recorded.map(|(shards, _)| shards)).unwrap_or(1);
+        let recorded_consistency = recorded.is_none_or(|(_, consistency)| consistency);
         // Structured refusal at the entry seam, never a silent clamp: 0 partitions
         // nothing, and more shards than rows would create empty shards the operator
         // never asked for.
@@ -889,21 +793,16 @@ impl DatasetRegistry {
                 rows: db.len(),
             });
         }
-        // Hold the write lock across the whole registration (journal open included):
-        // registrations are rare, and this makes duplicate-check → journal → insert one
-        // atomic step, so two racing registrations of one name cannot both open the
-        // journal.
-        let mut map = self.write();
         if let Some(existing) = map.get(&name) {
             // A cross-mode collision gets the structured mode error, not the generic
             // duplicate: the caller aimed an LDP registration at a central dataset
             // (or vice versa) and needs to know *that*, not just "taken".
-            return Err(match (existing.is_ldp(), &spec) {
-                (true, ModeSpec::Central(_)) => RegistryError::ModeMismatch(format!(
+            return Err(match (existing.is_ldp(), &mode) {
+                (true, Mode::Central(_)) => RegistryError::ModeMismatch(format!(
                     "dataset `{name}` is serving in LDP mode; a central-mode \
                      registration cannot replace it"
                 )),
-                (false, ModeSpec::Ldp(_)) => RegistryError::ModeMismatch(format!(
+                (false, Mode::Ldp(_)) => RegistryError::ModeMismatch(format!(
                     "dataset `{name}` is serving in central mode; an LDP \
                      registration cannot replace it"
                 )),
@@ -922,38 +821,25 @@ impl DatasetRegistry {
             // spent ε onto rows it was never spent on. Refuse both — and refuse
             // *before* the worker placement below, so a doomed registration
             // touches neither the fabric nor the disk.
-            self.check_manifest_compatible(&name, &spec, fingerprint, transactions)?;
+            self.check_manifest_compatible(&name, &mode, fingerprint, transactions)?;
         }
-        // The knob survives unregister/re-register cycles through the manifest (a
-        // fresh name defaults to on).
-        let recorded_consistency = self
-            .persistence
-            .as_ref()
-            .and_then(|p| {
-                p.manifest
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&name)
-                    .map(|recorded| recorded.consistency)
-            })
-            .unwrap_or(true);
         // Partition — and, with a placement, dial and seed the remote workers — before
         // any durable side effect: a placement failure (dead worker, bad address) must
         // not leave a phantom manifest entry or a freshly opened journal behind.
         let data = partition_data(db, shards, &workers, &name)?;
 
-        let (mode, queries_served, journal) = match (&spec, &self.persistence) {
-            (ModeSpec::Central(total_epsilon), None) => (
+        let (mode, queries_served, journal) = match (&mode, &self.persistence) {
+            (Mode::Central(total_epsilon), None) => (
                 PrivacyMode::Central(Arc::new(BudgetLedger::new(*total_epsilon))),
                 Arc::new(AtomicU64::new(0)),
                 None,
             ),
-            (ModeSpec::Ldp(channel), None) => (
+            (Mode::Ldp(channel), None) => (
                 PrivacyMode::Ldp(*channel),
                 Arc::new(AtomicU64::new(0)),
                 None,
             ),
-            (ModeSpec::Ldp(channel), Some(persistence)) => {
+            (Mode::Ldp(channel), Some(persistence)) => {
                 // An LDP dataset opens no journal and joins no live accounting:
                 // there is no ledger to make durable. Only the membership row (with
                 // the channel, for recovery) is recorded. If central accounting is
@@ -1004,7 +890,7 @@ impl DatasetRegistry {
                     None,
                 )
             }
-            (ModeSpec::Central(total_epsilon), Some(persistence)) => {
+            (Mode::Central(total_epsilon), Some(persistence)) => {
                 let total_epsilon = *total_epsilon;
                 let mut manifest = persistence
                     .manifest
@@ -1120,7 +1006,7 @@ impl DatasetRegistry {
     fn check_manifest_compatible(
         &self,
         name: &str,
-        spec: &ModeSpec,
+        mode: &Mode,
         fingerprint: u64,
         transactions: usize,
     ) -> Result<(), RegistryError> {
@@ -1134,8 +1020,8 @@ impl DatasetRegistry {
         let Some(recorded) = manifest.get(name) else {
             return Ok(());
         };
-        match (spec, &recorded.ldp) {
-            (ModeSpec::Central(total_epsilon), None) => {
+        match (mode, &recorded.ldp) {
+            (Mode::Central(total_epsilon), None) => {
                 if recorded.epsilon != *total_epsilon {
                     return Err(RegistryError::Mismatch(format!(
                         "dataset `{name}` has a durable ledger with total ε = {}, \
@@ -1155,21 +1041,21 @@ impl DatasetRegistry {
                     )));
                 }
             }
-            (ModeSpec::Central(_), Some(_)) => {
+            (Mode::Central(_), Some(_)) => {
                 return Err(RegistryError::ModeMismatch(format!(
                     "dataset `{name}` is recorded as an LDP dataset — it has no \
                      central ledger to re-register against (unregister it first, \
                      or pick a different name)"
                 )));
             }
-            (ModeSpec::Ldp(_), None) => {
+            (Mode::Ldp(_), None) => {
                 return Err(RegistryError::ModeMismatch(format!(
                     "dataset `{name}` has a durable central ledger — re-registering \
                      it as LDP would orphan its spent ε (unregister it under the \
                      central mode, or pick a different name)"
                 )));
             }
-            (ModeSpec::Ldp(channel), Some(recorded_params)) => {
+            (Mode::Ldp(channel), Some(recorded_params)) => {
                 // No budget binds an LDP record, but the channel does: debiasing
                 // rows with parameters they were not perturbed under silently
                 // mis-estimates every support. The data itself may change freely —
@@ -1396,6 +1282,12 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+
+    /// The shard count the durable manifest records for `name`, if any.
+    fn manifest_shards(registry: &DatasetRegistry, name: &str) -> Option<usize> {
+        let manifest = registry.persistence.as_ref()?.manifest.lock().unwrap();
+        manifest.get(name).map(|entry| entry.shards)
     }
 
     #[test]
@@ -1625,7 +1517,14 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             let entry = registry
-                .register_file_sharded("s", &path, Epsilon::Finite(3.0), 3)
+                .register_spec(RegisterSpec {
+                    shards: Some(3),
+                    ..RegisterSpec::central(
+                        "s",
+                        DataSource::File(path.clone()),
+                        Epsilon::Finite(3.0),
+                    )
+                })
                 .unwrap();
             assert_eq!(entry.shards(), 3);
             entry.ledger().unwrap().try_spend(0.5).unwrap();
@@ -1645,7 +1544,10 @@ mod tests {
         // (released bytes are shard-count-invariant): allowed and re-recorded.
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let entry = registry
-            .register_file_sharded("s", &path, Epsilon::Finite(3.0), 5)
+            .register_spec(RegisterSpec {
+                shards: Some(5),
+                ..RegisterSpec::central("s", DataSource::File(path.clone()), Epsilon::Finite(3.0))
+            })
             .unwrap();
         assert_eq!(entry.shards(), 5);
         assert!((entry.ledger().unwrap().spent() - 0.5).abs() < 1e-12);
@@ -1659,10 +1561,18 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             registry
-                .register_file("good", &good, Epsilon::Finite(2.0))
+                .register_spec(RegisterSpec::central(
+                    "good",
+                    DataSource::File(good.clone()),
+                    Epsilon::Finite(2.0),
+                ))
                 .unwrap();
             let entry = registry
-                .register_file("doomed", &doomed, Epsilon::Finite(2.0))
+                .register_spec(RegisterSpec::central(
+                    "doomed",
+                    DataSource::File(doomed.clone()),
+                    Epsilon::Finite(2.0),
+                ))
                 .unwrap();
             entry.ledger().unwrap().try_spend(0.5).unwrap();
         }
@@ -1677,8 +1587,8 @@ mod tests {
         assert!(registry.get("good").is_some());
         assert!(registry.get("doomed").is_none());
         // The manifest still records the layout for a later fixed re-registration.
-        assert_eq!(registry.recorded_shards("doomed"), Some(1));
-        assert_eq!(registry.recorded_shards("nope"), None);
+        assert_eq!(manifest_shards(&registry, "doomed"), Some(1));
+        assert_eq!(manifest_shards(&registry, "nope"), None);
     }
 
     #[test]
@@ -1707,12 +1617,16 @@ mod tests {
         let path = scratch.write_fimi("u.dat", "1 2\n1 2 3\n2 3\n");
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let entry = registry
-            .register_file("u", &path, Epsilon::Finite(2.0))
+            .register_spec(RegisterSpec::central(
+                "u",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(2.0),
+            ))
             .unwrap();
         entry.ledger().unwrap().try_spend(0.5).unwrap();
         registry.unregister("u").unwrap();
         // The manifest forgets the dataset (a restart will not reload it) …
-        assert_eq!(registry.recorded_shards("u"), None);
+        assert_eq!(manifest_shards(&registry, "u"), None);
         assert!(registry.recover().unwrap().loaded.is_empty());
         // … but the accounting state survives LIVE, so re-registering adopts the SAME
         // ledger — even while `entry` (think: an in-flight query) still holds the old
@@ -1720,7 +1634,11 @@ mod tests {
         // max-merged journal lose interleaved debits (re-granting spent ε on replay)
         // and admit against independent in-memory balances.
         let again = registry
-            .register_file("u", &path, Epsilon::Finite(2.0))
+            .register_spec(RegisterSpec::central(
+                "u",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(2.0),
+            ))
             .unwrap();
         assert!((again.ledger().unwrap().spent() - 0.5).abs() < 1e-12);
         // Interleave spends across BOTH handles; every debit must be visible to every
@@ -1739,7 +1657,11 @@ mod tests {
         drop(registry);
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let recovered = registry
-            .register_file("u", &path, Epsilon::Finite(2.0))
+            .register_spec(RegisterSpec::central(
+                "u",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(2.0),
+            ))
             .unwrap();
         assert!(
             (recovered.ledger().unwrap().spent() - 1.25).abs() < 1e-12,
@@ -1752,7 +1674,11 @@ mod tests {
         drop(registry);
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let err = registry
-            .register_file("u", &path, Epsilon::Finite(9.0))
+            .register_spec(RegisterSpec::central(
+                "u",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(9.0),
+            ))
             .unwrap_err();
         assert!(
             matches!(err, RegistryError::Mismatch(_) | RegistryError::Io(_)),
@@ -1766,13 +1692,21 @@ mod tests {
         let path = scratch.write_fimi("t.dat", "1 2\n2 3\n");
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let entry = registry
-            .register_file("t", &path, Epsilon::Finite(2.0))
+            .register_spec(RegisterSpec::central(
+                "t",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(2.0),
+            ))
             .unwrap();
         registry.unregister("t").unwrap();
         // The old entry is alive, so adoption is attempted — and must refuse a
         // re-negotiated total just like the on-disk open does.
         let err = registry
-            .register_file("t", &path, Epsilon::Finite(5.0))
+            .register_spec(RegisterSpec::central(
+                "t",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(5.0),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::Io(_)), "{err}");
         assert!(err.to_string().contains("total"), "{err}");
@@ -1855,12 +1789,19 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             let entry = registry
-                .register_file_sharded("r", &path, Epsilon::Finite(3.0), 2)
+                .register_spec(RegisterSpec {
+                    shards: Some(2),
+                    ..RegisterSpec::central(
+                        "r",
+                        DataSource::File(path.clone()),
+                        Epsilon::Finite(3.0),
+                    )
+                })
                 .unwrap();
             entry.ledger().unwrap().try_spend(0.5).unwrap();
             let resharded = registry.reshard("r", 4).unwrap();
             assert_eq!(resharded.shards(), 4);
-            assert_eq!(registry.recorded_shards("r"), Some(4));
+            assert_eq!(manifest_shards(&registry, "r"), Some(4));
         }
         // A restart rebuilds the resharded layout from the manifest.
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
@@ -1925,7 +1866,11 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             let entry = registry
-                .register_file("retail", &path, Epsilon::Finite(3.0))
+                .register_spec(RegisterSpec::central(
+                    "retail",
+                    DataSource::File(path.clone()),
+                    Epsilon::Finite(3.0),
+                ))
                 .unwrap();
             entry.ledger().unwrap().try_spend(1.0).unwrap();
             entry.record_query();
@@ -1958,30 +1903,50 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             registry
-                .register_file("d", &path, Epsilon::Finite(1.0))
+                .register_spec(RegisterSpec::central(
+                    "d",
+                    DataSource::File(path.clone()),
+                    Epsilon::Finite(1.0),
+                ))
                 .unwrap();
         }
         // Different budget: refused (would rescale the durable guarantee).
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         let err = registry
-            .register_file("d", &path, Epsilon::Finite(9.0))
+            .register_spec(RegisterSpec::central(
+                "d",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(9.0),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::Mismatch(_)), "{err}");
         // Different data under the same ledger: refused.
         let grown = scratch.write_fimi("d2.dat", "1 2\n2 3\n1 3\n");
         let err = registry
-            .register_file("d", &grown, Epsilon::Finite(1.0))
+            .register_spec(RegisterSpec::central(
+                "d",
+                DataSource::File(grown.clone()),
+                Epsilon::Finite(1.0),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::Mismatch(_)), "{err}");
         // Even at the *same row count*: content changes flip the fingerprint.
         let edited = scratch.write_fimi("d3.dat", "1 2\n2 4\n");
         let err = registry
-            .register_file("d", &edited, Epsilon::Finite(1.0))
+            .register_spec(RegisterSpec::central(
+                "d",
+                DataSource::File(edited.clone()),
+                Epsilon::Finite(1.0),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::Mismatch(_)), "{err}");
         // The original spec still registers fine.
         registry
-            .register_file("d", &path, Epsilon::Finite(1.0))
+            .register_spec(RegisterSpec::central(
+                "d",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(1.0),
+            ))
             .unwrap();
     }
 
@@ -2008,7 +1973,11 @@ mod tests {
     fn ldp_datasets_have_no_ledger_by_construction() {
         let registry = DatasetRegistry::new();
         let entry = registry
-            .register_ldp("local", tiny_db(), tiny_channel())
+            .register_spec(RegisterSpec::ldp(
+                "local",
+                DataSource::Rows(tiny_db()),
+                tiny_channel(),
+            ))
             .unwrap();
         assert!(entry.is_ldp());
         // Not an exhausted or zeroed ledger: no ledger exists at all.
@@ -2036,12 +2005,20 @@ mod tests {
             .register("central", tiny_db(), Epsilon::Finite(1.0))
             .unwrap();
         registry
-            .register_ldp("local", tiny_db(), tiny_channel())
+            .register_spec(RegisterSpec::ldp(
+                "local",
+                DataSource::Rows(tiny_db()),
+                tiny_channel(),
+            ))
             .unwrap();
         // Live entries: the colliding mode gets ModeMismatch, the same mode the
         // ordinary DuplicateName.
         let err = registry
-            .register_ldp("central", tiny_db(), tiny_channel())
+            .register_spec(RegisterSpec::ldp(
+                "central",
+                DataSource::Rows(tiny_db()),
+                tiny_channel(),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::ModeMismatch(_)), "{err}");
         let err = registry
@@ -2056,7 +2033,11 @@ mod tests {
         ));
         assert!(matches!(
             registry
-                .register_ldp("local", tiny_db(), tiny_channel())
+                .register_spec(RegisterSpec::ldp(
+                    "local",
+                    DataSource::Rows(tiny_db()),
+                    tiny_channel()
+                ))
                 .unwrap_err(),
             RegistryError::DuplicateName(_)
         ));
@@ -2072,38 +2053,56 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             registry
-                .register_file("central", &path, Epsilon::Finite(1.0))
+                .register_spec(RegisterSpec::central(
+                    "central",
+                    DataSource::File(path.clone()),
+                    Epsilon::Finite(1.0),
+                ))
                 .unwrap();
             registry
-                .register_ldp_file("local", &path, tiny_channel(), 1, Vec::new())
+                .register_spec(RegisterSpec::ldp(
+                    "local",
+                    DataSource::File(path.clone()),
+                    tiny_channel(),
+                ))
                 .unwrap();
         }
         let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
         // The manifest remembers each mode across a restart: a central name cannot
         // become LDP (its spent ε would be orphaned) nor the reverse.
         let err = registry
-            .register_ldp_file("central", &path, tiny_channel(), 1, Vec::new())
+            .register_spec(RegisterSpec::ldp(
+                "central",
+                DataSource::File(path.clone()),
+                tiny_channel(),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::ModeMismatch(_)), "{err}");
         let err = registry
-            .register_file("local", &path, Epsilon::Finite(1.0))
+            .register_spec(RegisterSpec::central(
+                "local",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(1.0),
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::ModeMismatch(_)), "{err}");
         // A *different channel* under an existing LDP name is a manifest mismatch:
         // the perturbed rows belong to the channel they came through.
         let err = registry
-            .register_ldp_file(
+            .register_spec(RegisterSpec::ldp(
                 "local",
-                &path,
+                DataSource::File(path.clone()),
                 LdpChannel::new(2.0, 8, 2).unwrap(),
-                1,
-                Vec::new(),
-            )
+            ))
             .unwrap_err();
         assert!(matches!(err, RegistryError::Mismatch(_)), "{err}");
         // The original spec still registers fine.
         registry
-            .register_ldp_file("local", &path, tiny_channel(), 1, Vec::new())
+            .register_spec(RegisterSpec::ldp(
+                "local",
+                DataSource::File(path.clone()),
+                tiny_channel(),
+            ))
             .unwrap();
     }
 
@@ -2114,7 +2113,10 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             let entry = registry
-                .register_ldp_file("local", &path, tiny_channel(), 2, Vec::new())
+                .register_spec(RegisterSpec {
+                    shards: Some(2),
+                    ..RegisterSpec::ldp("local", DataSource::File(path.clone()), tiny_channel())
+                })
                 .unwrap();
             assert!(entry.is_ldp());
             // No journal is ever opened for an LDP dataset.
@@ -2146,7 +2148,11 @@ mod tests {
         {
             let registry = DatasetRegistry::with_persistence(scratch.state()).unwrap();
             let entry = registry
-                .register_file("c", &path, Epsilon::Finite(2.0))
+                .register_spec(RegisterSpec::central(
+                    "c",
+                    DataSource::File(path.clone()),
+                    Epsilon::Finite(2.0),
+                ))
                 .unwrap();
             assert!(entry.consistency_enabled());
             registry.set_consistency("c", false).unwrap();

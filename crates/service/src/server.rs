@@ -24,10 +24,11 @@ use crate::audit_log::{seed_hash, AuditLog, AuditOutcome, AuditRecord};
 use crate::http::serve_http;
 use crate::protocol::{
     dataset_status, query_reply, AdminReply, Envelope, ErrorCode, Op, PerturbRequest, QueryRequest,
-    RegisterLdpRequest, RegisterRequest, RegisterSource, Response, ServerInfo, StatusReply,
-    WireError, PROTOCOL_VERSION,
+    RegisterSource, Response, ServerInfo, StatusReply, WireError, PROTOCOL_VERSION,
 };
-use crate::registry::{DatasetRegistry, RegistryError};
+use crate::registry::{
+    channel_params, DataSource, DatasetRegistry, Mode, RegisterSpec, RegistryError,
+};
 use crate::telemetry::{PhaseBridge, ReqTrace};
 use pb_core::{CountTransform, NoopObserver, PhaseObserver, PrivBasis, PrivBasisParams};
 use pb_dp::{DpError, Epsilon};
@@ -704,8 +705,20 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// Runs an (already authorized) admin op.
 fn run_admin(op: &Op, ctx: &ServerCtx) -> Response {
     let result = match op {
-        Op::Register(request) => admin_register(request, ctx),
-        Op::RegisterLdp(request) => admin_register_ldp(request, ctx),
+        Op::Register(r) => r
+            .budget
+            .map_or(Ok(Epsilon::Infinite), Epsilon::new)
+            .map_err(|e| WireError::malformed(e.to_string()))
+            .and_then(|total| {
+                admin_register(&r.name, &r.source, r.shards, Mode::Central(total), ctx)
+            }),
+        Op::RegisterLdp(r) => LdpChannel::new(
+            r.params.epsilon_local,
+            r.params.universe,
+            r.params.pad as usize,
+        )
+        .map_err(|e| WireError::malformed(e.to_string()))
+        .and_then(|channel| admin_register(&r.name, &r.source, r.shards, Mode::Ldp(channel), ctx)),
         Op::SnapshotEvery { every } => match u32::try_from(*every) {
             Err(_) => Err(WireError::malformed("snapshot cadence exceeds u32")),
             Ok(every) => ctx
@@ -754,82 +767,52 @@ fn run_admin(op: &Op, ctx: &ServerCtx) -> Response {
     }
 }
 
-fn admin_register(request: &RegisterRequest, ctx: &ServerCtx) -> Result<AdminReply, WireError> {
-    let total = match request.budget {
-        None => Epsilon::Infinite,
-        Some(budget) => Epsilon::new(budget).map_err(|e| WireError::malformed(e.to_string()))?,
-    };
-    // No explicit shard count keeps whatever layout the durable manifest records for
-    // this name (matching the CLI's re-listing semantics); brand-new names default to 1.
-    let shards = request
-        .shards
-        .or_else(|| ctx.registry.recorded_shards(&request.name))
-        .unwrap_or(1);
-    let entry = match &request.source {
-        RegisterSource::Path(path) => {
-            ctx.registry
-                .register_file_sharded(request.name.clone(), path.clone(), total, shards)
-        }
-        RegisterSource::Rows(rows) => ctx.registry.register_sharded(
-            request.name.clone(),
-            TransactionDb::from_transactions(rows.clone()),
-            total,
-            shards,
-        ),
-    }
-    .map_err(registry_error)?;
-    Ok(AdminReply::Registered {
-        name: entry.name().to_string(),
-        transactions: entry.transactions() as u64,
-        shards: entry.shards() as u64,
-        durable: entry.is_durable(),
-        // Non-zero when the name inherited a durable ledger: the caller learns
-        // immediately that this budget has history. (`register` only builds
-        // central entries, so the ledger always exists here; the fallback keeps
-        // the seam honest rather than panicking a worker.)
-        epsilon_spent: entry.ledger().map_or(0.0, |ledger| ledger.spent()),
-    })
-}
-
-/// Registers a dataset of already-perturbed rows under the LDP workload class: no
-/// ledger is created — the contributors' ε_local was spent client-side — and the
-/// channel parameters are recorded so queries debias with exactly what the rows were
-/// perturbed under.
-fn admin_register_ldp(
-    request: &RegisterLdpRequest,
+/// Registers a dataset for either register op (each maps to one [`RegisterSpec`]).
+/// The reply follows the mode: a central entry reports its ledger, an LDP entry —
+/// which has none, its contributors' ε_local was spent client-side — its channel.
+fn admin_register(
+    name: &str,
+    source: &RegisterSource,
+    shards: Option<usize>,
+    mode: Mode,
     ctx: &ServerCtx,
 ) -> Result<AdminReply, WireError> {
-    let channel = LdpChannel::new(
-        request.params.epsilon_local,
-        request.params.universe,
-        request.params.pad as usize,
-    )
-    .map_err(|e| WireError::malformed(e.to_string()))?;
-    let shards = request
-        .shards
-        .or_else(|| ctx.registry.recorded_shards(&request.name))
-        .unwrap_or(1);
-    let entry = match &request.source {
-        RegisterSource::Path(path) => ctx.registry.register_ldp_file(
-            request.name.clone(),
-            path.clone(),
-            channel,
+    let source = match source {
+        RegisterSource::Path(path) => DataSource::File(path.clone()),
+        RegisterSource::Rows(rows) => {
+            DataSource::Rows(TransactionDb::from_transactions(rows.clone()))
+        }
+    };
+    let entry = ctx
+        .registry
+        .register_spec(RegisterSpec {
             shards,
-            Vec::new(),
-        ),
-        RegisterSource::Rows(rows) => ctx.registry.register_ldp_sharded(
-            request.name.clone(),
-            TransactionDb::from_transactions(rows.clone()),
-            channel,
+            ..RegisterSpec::with_mode(name, source, mode)
+        })
+        .map_err(registry_error)?;
+    let (name, transactions, shards) = (
+        entry.name().to_string(),
+        entry.transactions() as u64,
+        entry.shards() as u64,
+    );
+    Ok(match entry.ldp_channel() {
+        Some(channel) => AdminReply::RegisteredLdp {
+            name,
+            transactions,
             shards,
-        ),
-    }
-    .map_err(registry_error)?;
-    Ok(AdminReply::RegisteredLdp {
-        name: entry.name().to_string(),
-        transactions: entry.transactions() as u64,
-        shards: entry.shards() as u64,
-        params: request.params,
+            params: channel_params(channel),
+        },
+        None => AdminReply::Registered {
+            name,
+            transactions,
+            shards,
+            durable: entry.is_durable(),
+            // Non-zero when the name inherited a durable ledger: the caller learns
+            // immediately that this budget has history. (A central entry always has
+            // a ledger; the fallback keeps the seam honest rather than panicking a
+            // worker.)
+            epsilon_spent: entry.ledger().map_or(0.0, |ledger| ledger.spent()),
+        },
     })
 }
 

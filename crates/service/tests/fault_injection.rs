@@ -12,7 +12,7 @@ use pb_dp::Epsilon;
 use pb_fim::TransactionDb;
 use pb_proto::{ClientError, ErrorCode, PbClient};
 use pb_service::protocol::dataset_status;
-use pb_service::{DatasetRegistry, PbServer, ServiceConfig, StateDir};
+use pb_service::{DataSource, DatasetRegistry, PbServer, RegisterSpec, ServiceConfig, StateDir};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -210,13 +210,11 @@ fn a_fabric_failure_mid_query_fails_closed_before_the_debit() {
 
     let registry = Arc::new(DatasetRegistry::new());
     registry
-        .register_placed(
-            "fab",
-            rows(),
-            Epsilon::Finite(2.0),
-            2,
-            vec![worker_addr.to_string()],
-        )
+        .register_spec(RegisterSpec {
+            shards: Some(2),
+            workers: vec![worker_addr.to_string()],
+            ..RegisterSpec::central("fab", DataSource::Rows(rows()), Epsilon::Finite(2.0))
+        })
         .unwrap();
     let entry = registry.get("fab").unwrap();
     let coordinator = PbServer::bind(

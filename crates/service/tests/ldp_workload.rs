@@ -19,7 +19,7 @@ use pb_proto::{
     AdminReply, ClientError, ErrorCode, LdpParams, PbClient, RegisterLdpRequest, RegisterRequest,
     RegisterSource, WireError,
 };
-use pb_service::{DatasetRegistry, PbServer, ServiceConfig};
+use pb_service::{DataSource, DatasetRegistry, PbServer, RegisterSpec, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
@@ -226,11 +226,11 @@ fn cross_mode_operations_return_mode_mismatch() {
         )
         .unwrap();
     registry
-        .register_ldp(
+        .register_spec(RegisterSpec::ldp(
             &local,
-            TransactionDb::from_transactions(perturbed_rows(3)),
+            DataSource::Rows(TransactionDb::from_transactions(perturbed_rows(3))),
             channel(),
-        )
+        ))
         .unwrap();
 
     let err = server_code(client.perturb(&central, vec![vec![1]], None).unwrap_err());
@@ -307,11 +307,11 @@ fn ldp_releases_are_identical_across_shards_and_placement() {
 
     let reference_name = unique("ldp-placement-ref");
     registry
-        .register_ldp(
+        .register_spec(RegisterSpec::ldp(
             &reference_name,
-            TransactionDb::from_transactions(rows.clone()),
+            DataSource::Rows(TransactionDb::from_transactions(rows.clone())),
             channel(),
-        )
+        ))
         .unwrap();
     let reference = client.query(&reference_name, 4, 1.0, Some(41)).unwrap();
     assert!(!reference.itemsets.is_empty());
@@ -320,13 +320,15 @@ fn ldp_releases_are_identical_across_shards_and_placement() {
         for placed in [0, shards.div_ceil(2), shards] {
             let name = unique(&format!("ldp-placement-s{shards}p{placed}"));
             registry
-                .register_ldp_placed(
-                    &name,
-                    TransactionDb::from_transactions(rows.clone()),
-                    channel(),
-                    shards,
-                    vec![worker.to_string(); placed],
-                )
+                .register_spec(RegisterSpec {
+                    shards: Some(shards),
+                    workers: vec![worker.to_string(); placed],
+                    ..RegisterSpec::ldp(
+                        &name,
+                        DataSource::Rows(TransactionDb::from_transactions(rows.clone())),
+                        channel(),
+                    )
+                })
                 .unwrap();
             let reply = client.query(&name, 4, 1.0, Some(41)).unwrap();
             registry.unregister(&name).unwrap();

@@ -7,7 +7,9 @@ use pb_dp::Epsilon;
 use pb_fim::TransactionDb;
 use pb_proto::PbClient;
 use pb_service::http::validate_prometheus;
-use pb_service::{DatasetRegistry, Json, PbServer, ServiceConfig, StateDir};
+use pb_service::{
+    DataSource, DatasetRegistry, Json, PbServer, RegisterSpec, ServiceConfig, StateDir,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -54,7 +56,7 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     // noise_draw / shard_merge / reconstruct phases, which is exactly what the
     // span-tree assertions below want to see.
     registry
-        .register_placed("d", fixture_db(300), Epsilon::Finite(50.0), 2, Vec::new())
+        .register_sharded("d", fixture_db(300), Epsilon::Finite(50.0), 2)
         .unwrap();
     let config = ServiceConfig {
         threads: 2,
@@ -177,7 +179,11 @@ fn audit_log_reconciles_exactly_with_the_journal_after_an_unclean_restart() {
         let registry =
             Arc::new(DatasetRegistry::with_persistence(StateDir::open(&scratch).unwrap()).unwrap());
         registry
-            .register_file("retail", fimi.to_string_lossy(), Epsilon::Finite(4.0))
+            .register_spec(RegisterSpec::central(
+                "retail",
+                DataSource::File(fimi.to_string_lossy().into_owned()),
+                Epsilon::Finite(4.0),
+            ))
             .unwrap();
         let server = PbServer::bind(
             "127.0.0.1:0",

@@ -10,11 +10,16 @@
 //! * the shard-count seam — invalid `shards` in `register`/`reshard` envelopes come
 //!   back as structured `malformed` errors and leave no state behind.
 
+use pb_core::PrivBasis;
 use pb_dp::Epsilon;
 use pb_fim::{ItemSet, TransactionDb, VerticalIndex};
 use pb_proto::{ClientError, ErrorCode, PbClient, RegisterRequest, RegisterSource, WireError};
-use pb_service::{DatasetRegistry, PbServer, ServiceConfig};
+use pb_service::{
+    DataSource, DatasetEntry, DatasetRegistry, PbServer, RegisterSpec, ServiceConfig, StateDir,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -101,13 +106,15 @@ fn placements_release_identically() {
         for placed in 0..=shards {
             let name = unique(&format!("placement-s{shards}p{placed}"));
             registry
-                .register_placed(
-                    &name,
-                    TransactionDb::from_transactions(rows.clone()),
-                    Epsilon::Finite(1000.0),
-                    shards,
-                    vec![worker.to_string(); placed],
-                )
+                .register_spec(RegisterSpec {
+                    shards: Some(shards),
+                    workers: vec![worker.to_string(); placed],
+                    ..RegisterSpec::central(
+                        &name,
+                        DataSource::Rows(TransactionDb::from_transactions(rows.clone())),
+                        Epsilon::Finite(1000.0),
+                    )
+                })
                 .unwrap();
             let reply = client.query(&name, 4, 0.4, Some(41)).unwrap();
             assert_eq!(
@@ -148,13 +155,15 @@ proptest! {
         for placed in [0, shards.div_ceil(2), shards] {
             let name = unique(&format!("prop-s{shards}p{placed}"));
             registry
-                .register_placed(
-                    &name,
-                    TransactionDb::from_transactions(rows.clone()),
-                    Epsilon::Finite(1000.0),
-                    shards,
-                    vec![worker.to_string(); placed],
-                )
+                .register_spec(RegisterSpec {
+                    shards: Some(shards),
+                    workers: vec![worker.to_string(); placed],
+                    ..RegisterSpec::central(
+                        &name,
+                        DataSource::Rows(TransactionDb::from_transactions(rows.clone())),
+                        Epsilon::Finite(1000.0),
+                    )
+                })
                 .unwrap();
             let reply = client.query(&name, 3, 0.3, Some(seed)).unwrap();
             registry.unregister(&name).unwrap();
@@ -170,6 +179,68 @@ proptest! {
             prop_assert_eq!(reply.candidate_count, reference.candidate_count);
         }
     }
+}
+
+/// Recovery re-places remote shards: a durable file dataset with three shards, two of
+/// them on workers, comes back from the manifest with the same layout and placement,
+/// and a pinned-seed release is byte-identical to the one before the restart.
+#[test]
+fn recovery_re_places_remote_shards() {
+    let dir = std::env::temp_dir().join(unique(&format!("pb-replace-{}", std::process::id())));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rows.dat");
+    let fimi: String = fixture_rows()
+        .iter()
+        .map(|row| {
+            let items: Vec<String> = row.iter().map(u32::to_string).collect();
+            items.join(" ") + "\n"
+        })
+        .collect();
+    std::fs::write(&path, fimi).unwrap();
+    let name = unique("replaced");
+    let workers = vec![worker_addr().to_string(); 2];
+    let release = |entry: &DatasetEntry| -> Vec<(ItemSet, u64)> {
+        PrivBasis::with_defaults()
+            .run_shared(
+                &mut StdRng::seed_from_u64(41),
+                entry.context(),
+                4,
+                Epsilon::Finite(0.4),
+            )
+            .unwrap()
+            .itemsets
+            .into_iter()
+            .map(|(itemset, count)| (itemset, count.to_bits()))
+            .collect()
+    };
+    let before = {
+        let registry = DatasetRegistry::with_persistence(StateDir::open(&dir).unwrap()).unwrap();
+        let entry = registry
+            .register_spec(RegisterSpec {
+                shards: Some(3),
+                workers: workers.clone(),
+                ..RegisterSpec::central(
+                    &name,
+                    DataSource::File(path.to_string_lossy().into_owned()),
+                    Epsilon::Finite(10.0),
+                )
+            })
+            .unwrap();
+        assert!(entry.fabric().is_some());
+        release(&entry)
+    };
+    assert!(!before.is_empty());
+
+    let registry = DatasetRegistry::with_persistence(StateDir::open(&dir).unwrap()).unwrap();
+    let report = registry.recover().unwrap();
+    assert_eq!(report.loaded, vec![name.clone()], "{report:?}");
+    let entry = registry.get(&name).unwrap();
+    assert_eq!(entry.shards(), 3);
+    assert_eq!(entry.workers(), workers.as_slice());
+    assert!(entry.fabric().is_some());
+    assert_eq!(release(&entry), before);
+    drop((entry, registry));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The worker wire surface end to end: the `shard_load` state machine with its

@@ -2,8 +2,14 @@
 
 use pb_dp::Epsilon;
 use pb_fim::TransactionDb;
-use pb_proto::{AdminReply, ClientError, PbClient, RegisterRequest, RegisterSource};
-use pb_service::{DatasetRegistry, Json, PbServer, ServiceConfig, StateDir};
+use pb_ldp::LdpChannel;
+use pb_proto::{
+    AdminReply, ClientError, LdpParams, PbClient, RegisterLdpRequest, RegisterRequest,
+    RegisterSource,
+};
+use pb_service::{
+    DataSource, DatasetRegistry, Json, PbServer, RegisterSpec, ServiceConfig, StateDir,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -274,7 +280,11 @@ fn served_ledger_state_survives_a_server_generation() {
         let registry =
             Arc::new(DatasetRegistry::with_persistence(StateDir::open(&scratch).unwrap()).unwrap());
         registry
-            .register_file("retail", fimi.to_string_lossy(), Epsilon::Finite(4.0))
+            .register_spec(RegisterSpec::central(
+                "retail",
+                DataSource::File(fimi.to_string_lossy().into_owned()),
+                Epsilon::Finite(4.0),
+            ))
             .unwrap();
         let (addr, handle) = start_server(Arc::clone(&registry), 2);
         let mut client = Client::connect(addr);
@@ -371,6 +381,118 @@ fn releases_are_byte_identical_across_tcp_v1_tcp_v2_and_http() {
         release_bytes(&v1).matches(r#""items":"#).count()
     );
     shutdown(addr, handle);
+}
+
+#[test]
+fn register_ops_without_shards_keep_the_recorded_layout() {
+    // Two manifest-recorded names whose recovery failed (their sources moved away)
+    // are re-registered over the wire once the sources are back. Neither register op
+    // names `shards`, so each keeps the layout the manifest records; a new name gets 1.
+    let scratch =
+        std::env::temp_dir().join(format!("pb-svc-recorded-layout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let rows: String = (0..12)
+        .map(|i| format!("{} {}\n", i % 3, 3 + i % 4))
+        .collect();
+    let central = scratch.join("central.dat");
+    let local = scratch.join("local.dat");
+    std::fs::write(&central, &rows).unwrap();
+    std::fs::write(&local, &rows).unwrap();
+    let (central, local) = (
+        central.to_string_lossy().into_owned(),
+        local.to_string_lossy().into_owned(),
+    );
+    let params = LdpParams {
+        epsilon_local: 6.0,
+        universe: 8,
+        pad: 2,
+    };
+    let channel = LdpChannel::new(params.epsilon_local, params.universe, 2).unwrap();
+    {
+        let registry =
+            DatasetRegistry::with_persistence(StateDir::open(&scratch).unwrap()).unwrap();
+        registry
+            .register_spec(RegisterSpec {
+                shards: Some(3),
+                ..RegisterSpec::central(
+                    "c",
+                    DataSource::File(central.clone()),
+                    Epsilon::Finite(4.0),
+                )
+            })
+            .unwrap();
+        registry
+            .register_spec(RegisterSpec {
+                shards: Some(4),
+                ..RegisterSpec::ldp("l", DataSource::File(local.clone()), channel)
+            })
+            .unwrap();
+    }
+    for path in [&central, &local] {
+        std::fs::rename(path, format!("{path}.moved")).unwrap();
+    }
+    let registry =
+        Arc::new(DatasetRegistry::with_persistence(StateDir::open(&scratch).unwrap()).unwrap());
+    let report = registry.recover().unwrap();
+    assert_eq!(report.failed.len(), 2, "{report:?}");
+    assert!(registry.is_empty());
+    for path in [&central, &local] {
+        std::fs::rename(format!("{path}.moved"), path).unwrap();
+    }
+
+    let config = ServiceConfig {
+        threads: 2,
+        admin_token: Some("s3cret".into()),
+        ..ServiceConfig::default()
+    };
+    let server = PbServer::bind("127.0.0.1:0", Arc::clone(&registry), config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    let mut client = PbClient::connect(addr).unwrap();
+    let register = |name: &str, path: &str| RegisterRequest {
+        name: name.into(),
+        source: RegisterSource::Path(path.into()),
+        budget: Some(4.0),
+        shards: None,
+    };
+    let register_ldp = |name: &str, path: &str| RegisterLdpRequest {
+        name: name.into(),
+        source: RegisterSource::Path(path.into()),
+        params,
+        shards: None,
+    };
+    let reply = client.register("s3cret", register("c", &central)).unwrap();
+    assert!(
+        matches!(reply, AdminReply::Registered { shards: 3, .. }),
+        "{reply:?}"
+    );
+    let reply = client
+        .register_ldp("s3cret", register_ldp("l", &local))
+        .unwrap();
+    assert!(
+        matches!(reply, AdminReply::RegisteredLdp { shards: 4, .. }),
+        "{reply:?}"
+    );
+    let reply = client
+        .register("s3cret", register("fresh", &central))
+        .unwrap();
+    assert!(
+        matches!(reply, AdminReply::Registered { shards: 1, .. }),
+        "{reply:?}"
+    );
+    let reply = client
+        .register_ldp("s3cret", register_ldp("fresh-ldp", &local))
+        .unwrap();
+    assert!(
+        matches!(reply, AdminReply::RegisteredLdp { shards: 1, .. }),
+        "{reply:?}"
+    );
+    for (name, shards) in [("c", 3), ("l", 4), ("fresh", 1), ("fresh-ldp", 1)] {
+        assert_eq!(registry.get(name).unwrap().shards(), shards, "{name}");
+    }
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]

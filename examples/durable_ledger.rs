@@ -9,7 +9,7 @@
 //! (dropping the registry without any shutdown handshake).
 
 use privbasis::dp::Epsilon;
-use privbasis::service::{DatasetRegistry, StateDir};
+use privbasis::service::{DataSource, DatasetRegistry, RegisterSpec, StateDir};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("privbasis-durable-{}", std::process::id()));
@@ -22,7 +22,11 @@ fn main() {
         let state = StateDir::open(&dir).expect("open state dir");
         let registry = DatasetRegistry::with_persistence(state).expect("durable registry");
         let entry = registry
-            .register_file("retail", fimi.to_string_lossy(), Epsilon::Finite(2.0))
+            .register_spec(RegisterSpec::central(
+                "retail",
+                DataSource::File(fimi.to_string_lossy().into_owned()),
+                Epsilon::Finite(2.0),
+            ))
             .expect("register dataset");
         println!(
             "process 1: registered `retail` (durable = {}), budget ε = 2.0",

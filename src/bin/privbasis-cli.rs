@@ -52,7 +52,9 @@ use privbasis::core::{PrivBasisParams, QueryContext};
 use privbasis::dp::Epsilon;
 use privbasis::fim::io::read_fimi_file;
 use privbasis::fim::rules::generate_rules_from_noisy;
-use privbasis::service::{DatasetRegistry, PbServer, ServiceConfig, StateDir};
+use privbasis::service::{
+    DataSource, DatasetRegistry, PbServer, RegisterSpec, ServiceConfig, StateDir,
+};
 use privbasis::tf::{TfConfig, TfMethod};
 use privbasis::{ItemSet, LdpChannel, PrivBasis, PublishedItemset, ShardedDb, TransactionDb};
 use rand::rngs::StdRng;
@@ -581,36 +583,15 @@ fn serve(options: &ServeOptions) -> Result<(), String> {
     // data changes are still refused — the manifest fingerprint and the journal-pinned
     // total are checked inside the registration itself.
     for (name, path) in &options.datasets {
-        let entry = if options.state_dir.is_some() {
-            // No explicit --shards: keep the layout the manifest already records for
-            // this name (a forgotten flag must not silently reshard to 1); brand-new
-            // names default to unsharded.
-            let shards = options
-                .shards
-                .or_else(|| registry.recorded_shards(name))
-                .unwrap_or(1);
-            registry
-                .register_file_placed(
-                    name.clone(),
-                    path.clone(),
-                    total,
-                    shards,
-                    options.shard_workers.clone(),
-                )
-                .map_err(|e| e.to_string())?
-        } else {
-            let shards = options.shards.unwrap_or(1);
-            let db = read_fimi_file(path).map_err(|e| format!("failed to read {path}: {e}"))?;
-            registry
-                .register_placed(
-                    name.clone(),
-                    db,
-                    total,
-                    shards,
-                    options.shard_workers.clone(),
-                )
-                .map_err(|e| e.to_string())?
-        };
+        // No explicit --shards keeps the layout the manifest records for this name (a
+        // forgotten flag must not silently reshard to 1); brand-new names get 1.
+        let entry = registry
+            .register_spec(RegisterSpec {
+                shards: options.shards,
+                workers: options.shard_workers.clone(),
+                ..RegisterSpec::central(name.clone(), DataSource::File(path.clone()), total)
+            })
+            .map_err(|e| e.to_string())?;
         eprintln!(
             "registered `{name}`: {} transactions over {} items, budget ε = {}{}{}{}",
             entry.transactions(),
