@@ -3,12 +3,18 @@
 //! §4.2 analyses the running time as O(w·|D| + w·3^ℓ): linear in the basis-set width w,
 //! exponential in the basis length ℓ. The two benchmark groups sweep each factor separately.
 //!
-//! `sweep` — the w·|D| term alone: `VerticalIndex::bin_histograms` at one thread on a
-//! pre-built index over the 100k-row Quest fixture the service benchmark serves:
+//! `sweep` — the w·|D| term alone: `VerticalIndex::bin_histograms_swept` at one thread on
+//! a pre-built index over the 100k-row Quest fixture the service benchmark serves:
 //!
 //! * `l6`, `l9`, `l12` — one basis of the ℓ most frequent items (one or two byte planes);
 //! * `k40_bases` — the noiseless k=40 basis set: five overlapping bases of 4–5 items,
 //!   swept in groups.
+//!
+//! `prefix` — the same `l9` and `k40_bases` counts through `VerticalIndex::bin_histograms`,
+//! which reads them from the index's class-16 prefix table (built before timing), and
+//! `pairs_k40`: `pair_counts` over the k=40 run's frequent items from the same table.
+//! `build_w{8,16}` time the first use of each class on a fresh index: the
+//! frequency ranks, the table build and one fold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pb_bench::{dense_db, quest_db};
@@ -154,8 +160,9 @@ fn bench_sweep(c: &mut Criterion) {
     // The basis set of a deterministic noiseless run, as the `consistency` bench takes it.
     let k40 = PrivBasis::with_defaults()
         .run(&mut StdRng::seed_from_u64(1), &db, 40, Epsilon::Infinite)
-        .unwrap()
-        .basis_set;
+        .unwrap();
+    let frequent = k40.frequent_items;
+    let k40 = k40.basis_set;
     let lens: Vec<usize> = k40.bases().iter().map(|b| b.len()).collect();
     assert_eq!(
         lens,
@@ -175,7 +182,36 @@ fn bench_sweep(c: &mut Criterion) {
         ("k40_bases_t2", k40.bases().to_vec(), 2),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(index.bin_histograms(&bases, threads)))
+            b.iter(|| black_box(index.bin_histograms_swept(&bases, threads)))
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("basis_freq/prefix");
+    group.sample_size(50);
+    for (name, bases) in [("l9", vec![top(9)]), ("k40_bases", k40.bases().to_vec())] {
+        assert_eq!(
+            index.bin_histograms(&bases, 1),
+            index.bin_histograms_swept(&bases, 1)
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(index.bin_histograms(&bases, 1)))
+        });
+    }
+    assert_eq!(
+        index.pair_counts_with(&frequent, 1),
+        db.pair_counts(&frequent)
+    );
+    group.bench_function("pairs_k40", |b| {
+        b.iter(|| black_box(index.pair_counts_with(&frequent, 1)))
+    });
+    // First use of class W: a fresh copy of the index (no ranks, no tables) counts the
+    // item of rank W − 1, which builds the ranks and the class-W table, then folds it.
+    let fresh = VerticalIndex::build(&db);
+    for width in [8, 16] {
+        let basis = vec![ItemSet::singleton(by_frequency[width - 1].0)];
+        group.bench_function(format!("build_w{width}"), |b| {
+            b.iter(|| black_box(fresh.clone().bin_histograms(&basis, 1)))
         });
     }
     group.finish();

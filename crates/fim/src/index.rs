@@ -15,6 +15,9 @@
 //!   transposing the ℓ item words into per-transaction bin masks (§4.1's
 //!   `t ∩ Bᵢ` bins) without ever touching the row representation.
 //!
+//! Over the most frequent items both are answered instead from a memoized table of
+//! distinct row patterns (see "The prefix table" below).
+//!
 //! ## The histogram sweep
 //!
 //! Each 64-transaction block of a basis is a 64 × ℓ bit matrix: one word per item. The
@@ -45,12 +48,43 @@
 //! regardless of thread count or grouping, so callers that add noise stay
 //! byte-for-byte deterministic. The bitmaps sit behind an `Arc`, so a share handed to a
 //! pool helper carries its own handle to them.
+//!
+//! ## The prefix table
+//!
+//! PrivBasis counts only over its frequent items, and those are the few most frequent
+//! items of the index: most rows look alike once cut down to them. So an index keeps,
+//! per *class* `W ∈ {8, 16}`, a table of the distinct non-empty row patterns over its
+//! `W` most frequent items (bit `r` of a pattern is the item of frequency rank `r`,
+//! ties going to the lower item id) with each pattern's row count, and the pair
+//! matrix of those `W` items counted from it. On the 100k-row Quest fixture the
+//! class-16 table holds about 10k patterns, and every basis item of the service
+//! benchmark's queries ranks inside it.
+//!
+//! * **Build.** A class's table is built on first use, from the bitmaps, behind a
+//!   `OnceLock`, by one sweep into a dense histogram of `2^W` bins whose non-zero bins
+//!   are the patterns.
+//! * **Size guard.** A table with more than `N / 2` patterns
+//!   (`PREFIX_MIN_ROWS_PER_PATTERN`) is stored as absent.
+//! * **Use.** A histogram whose items (a group's union) all rank inside a class is
+//!   read from the narrowest class's table: byte tables map each pattern byte to the
+//!   basis-mask bits it carries, every pattern's count goes to the bin its bytes map
+//!   to, and bin 0 also receives the `N − covered` rows with an empty pattern. Pair
+//!   counts over items inside a class read the pair matrix. Anything else — an item
+//!   ranked past 16, no indexed item at all, or an absent table — falls back to the
+//!   sweep ([`VerticalIndex::bin_histograms_swept`] is that path alone).
+//! * **Whole indexes only.** Only [`VerticalIndex::build`] indexes keep tables: they
+//!   serve many queries (a shard, a shard worker). A
+//!   [`VerticalIndex::build_restricted`] index is built for one run that counts once,
+//!   where a table build would cost more than the sweep it saves.
+//! * **Same bytes.** Both paths count every row exactly once into the same bin, as
+//!   integers, so the histograms and pair counts are identical whatever the class, the
+//!   rank order or the thread budget, and so is everything released from them.
 
 use crate::bitmap::Bitmap;
 use crate::itemset::{Item, ItemSet};
 use crate::pairs::{num_pairs, PairCounts};
 use crate::transaction::TransactionDb;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::pool::{available_parallelism, set_parallelism_override};
 
@@ -69,6 +103,20 @@ const PAR_MIN_BUILD_ROWS: usize = 1 << 15;
 /// increments land; a cap of 16 measured slower on overlapping 4–5-item bases.
 const MAX_GROUP_ITEMS: usize = 12;
 
+/// The prefix classes: a class-`W` table holds the row patterns over the `W` most
+/// frequent indexed items. A wider class would need a benchmark workload whose bases
+/// reach rank 16.
+const PREFIX_WIDTHS: [usize; 2] = [8, 16];
+
+/// A prefix table with more distinct patterns than `N / PREFIX_MIN_ROWS_PER_PATTERN`
+/// is stored as absent, and its class sweeps instead. Measured at N = 100k on a 2-core
+/// VM, for a 9-item basis whose top item forces the class, with rows repeating a
+/// chosen number of random patterns at item densities 0.3 and 0.05: a class-16 table
+/// (two byte lookups per pattern) takes under 0.2× the sweep's time up to N patterns.
+/// So the guard is set by memory, not speed: at `N / 2` patterns of 6 B each a table
+/// costs at most 3 B per row beside the index's bitmaps.
+const PREFIX_MIN_ROWS_PER_PATTERN: usize = 2;
+
 /// An immutable vertical index over a [`TransactionDb`].
 #[derive(Clone, Debug)]
 pub struct VerticalIndex {
@@ -78,6 +126,9 @@ pub struct VerticalIndex {
     /// `bitmaps[i]` holds the transaction set of `items[i]`; shared so a sweep share
     /// on a pool helper can hold them.
     bitmaps: Arc<[Bitmap]>,
+    /// The frequency ranks and the prefix tables, each built on first use (boxed: the
+    /// index itself stays a few words); `None` on a restricted index.
+    prefix: Option<Box<Prefix>>,
 }
 
 impl VerticalIndex {
@@ -104,12 +155,13 @@ impl VerticalIndex {
             }
         };
         let lookup = SlotLookup::new(&items);
+        let prefix = restrict.is_none().then(Box::default);
 
         #[cfg(feature = "parallel")]
         {
             let threads = available_parallelism();
             if threads > 1 && n >= PAR_MIN_BUILD_ROWS {
-                return Self::build_chunked(db, items, &lookup, threads);
+                return Self::build_chunked(db, items, &lookup, threads, prefix);
             }
         }
 
@@ -128,6 +180,7 @@ impl VerticalIndex {
             num_transactions: n,
             bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
             items,
+            prefix,
         }
     }
 
@@ -140,6 +193,7 @@ impl VerticalIndex {
         items: Vec<Item>,
         lookup: &SlotLookup,
         threads: usize,
+        prefix: Option<Box<Prefix>>,
     ) -> Self {
         let n = db.len();
         let num_words = n.div_ceil(64);
@@ -196,6 +250,7 @@ impl VerticalIndex {
             num_transactions: n,
             bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
             items,
+            prefix,
         }
     }
 
@@ -300,11 +355,14 @@ impl VerticalIndex {
     /// [`VerticalIndex::pair_counts`] within a budget of `threads` workers: the word
     /// range is split into shares on the counting pool under the same rule as a
     /// histogram sweep, and the per-share counts are summed.
+    ///
+    /// Items that all lie inside a prefix class read the class table's pair matrix
+    /// instead (see the module docs).
     pub fn pair_counts_with(&self, items: &ItemSet, threads: usize) -> PairCounts {
-        let slots: Vec<Option<usize>> = items
-            .iter()
-            .map(|item| self.items.binary_search(&item).ok())
-            .collect();
+        let slots = self.slots(items);
+        if let Some((table, ranks)) = self.prefix_table(&slots) {
+            return PairCounts::from_flat(items, table.pair_counts(&ranks));
+        }
         let num_words = self.num_transactions.div_ceil(64);
         let shares = split_shares(num_words, threads);
         let counts = if shares == 1 {
@@ -341,21 +399,46 @@ impl VerticalIndex {
     /// Panics if `basis` has more than 25 items (the bin table would not fit in memory;
     /// callers cap ℓ far below this).
     pub fn bin_histogram(&self, basis: &ItemSet) -> Vec<u64> {
-        self.sweep_histogram(basis, available_parallelism())
+        self.histogram(basis, available_parallelism())
     }
 
     /// The histograms of several bases within one budget of `threads` sweep workers
     /// (`1` = fully sequential), equal to mapping [`VerticalIndex::bin_histogram`] over
     /// `bases` for any budget.
     ///
-    /// Each greedy run of consecutive bases whose union has at most 12 items is swept
+    /// Each greedy run of consecutive bases whose union has at most 12 items is counted
     /// once, over the union, and the union histogram is projected onto each member (see
-    /// the module docs). Groups run one after another, each with the whole budget for
-    /// its block split.
+    /// the module docs). A union inside a prefix class is counted from the class
+    /// table; any other is swept. Groups run one after another, each with the whole
+    /// budget for its block split.
     ///
     /// # Panics
     /// Panics if a basis has more than 25 items, as [`VerticalIndex::bin_histogram`].
     pub fn bin_histograms(&self, bases: &[ItemSet], threads: usize) -> Vec<Vec<u64>> {
+        self.grouped_histograms(bases, threads, true)
+    }
+
+    /// [`VerticalIndex::bin_histograms`] by the bitmap sweep alone, never from a prefix
+    /// table: what a union outside every prefix class takes, and the reference the
+    /// table path is tested against.
+    ///
+    /// # Panics
+    /// Panics if a basis has more than 25 items, as [`VerticalIndex::bin_histogram`].
+    pub fn bin_histograms_swept(&self, bases: &[ItemSet], threads: usize) -> Vec<Vec<u64>> {
+        self.grouped_histograms(bases, threads, false)
+    }
+
+    /// The greedy grouping of [`VerticalIndex::bin_histograms`]; each union is counted
+    /// by [`VerticalIndex::histogram`] when `prefix` holds, else swept.
+    fn grouped_histograms(&self, bases: &[ItemSet], threads: usize, prefix: bool) -> Vec<Vec<u64>> {
+        let count = |basis: &ItemSet| {
+            if prefix {
+                self.histogram(basis, threads)
+            } else {
+                check_basis_len(basis);
+                self.sweep_slots(&self.slots(basis), threads)
+            }
+        };
         let mut hists = Vec::with_capacity(bases.len());
         let mut start = 0;
         while start < bases.len() {
@@ -371,9 +454,9 @@ impl VerticalIndex {
             }
             let group = &bases[start..end];
             if let [basis] = group {
-                hists.push(self.sweep_histogram(basis, threads));
+                hists.push(count(basis));
             } else {
-                let union_bins = self.sweep_histogram(&union, threads);
+                let union_bins = count(&union);
                 hists.extend(group.iter().map(|b| project_bins(&union_bins, &union, b)));
             }
             start = end;
@@ -381,40 +464,68 @@ impl VerticalIndex {
         hists
     }
 
-    /// One basis's histogram, its block range split into at most `threads` shares on
-    /// the counting pool.
-    fn sweep_histogram(&self, basis: &ItemSet, threads: usize) -> Vec<u64> {
-        let ell = basis.len();
-        assert!(
-            ell <= 25,
-            "basis of {ell} items: bin table 2^{ell} too large"
-        );
-        if ell == 0 {
-            return vec![self.num_transactions as u64];
+    /// One basis's histogram: from the narrowest prefix table that covers it, else
+    /// swept within a budget of `threads`.
+    fn histogram(&self, basis: &ItemSet, threads: usize) -> Vec<u64> {
+        check_basis_len(basis);
+        let slots = self.slots(basis);
+        match self.prefix_table(&slots) {
+            Some((table, ranks)) => table.histogram(&ranks, self.num_transactions),
+            None => self.sweep_slots(&slots, threads),
         }
-        let slots: Vec<Option<usize>> = basis
+    }
+
+    /// The bitmap slot of every item of `items`, `None` for an unindexed one.
+    fn slots(&self, items: &ItemSet) -> Vec<Option<usize>> {
+        items
             .iter()
             .map(|item| self.items.binary_search(&item).ok())
-            .collect();
+            .collect()
+    }
+
+    /// The histogram over the items at `slots` (bit `i` ⇔ `slots[i]`), its block range
+    /// split into at most `threads` shares on the counting pool.
+    fn sweep_slots(&self, slots: &[Option<usize>], threads: usize) -> Vec<u64> {
+        if slots.is_empty() {
+            return vec![self.num_transactions as u64];
+        }
         let num_words = self.num_transactions.div_ceil(64);
         let n = self.num_transactions;
         let chunks = split_shares(num_words, threads);
         if chunks == 1 {
-            return sweep_range(&self.bitmaps, &slots, 0..num_words, n);
+            return sweep_bins(&self.bitmaps, slots, 0..num_words, n);
         }
         let chunk_len = num_words.div_ceil(chunks);
         let bitmaps = Arc::clone(&self.bitmaps);
+        let shared: Arc<[Option<usize>]> = slots.into();
         let partials = crate::pool::run(chunks, chunks, move |c, _| {
             let range = c * chunk_len..((c + 1) * chunk_len).min(num_words);
-            sweep_range(&bitmaps, &slots, range, n)
+            sweep_bins(&bitmaps, &shared, range, n)
         });
-        let mut bins = vec![0u64; 1 << ell];
+        let mut bins = vec![0u64; 1 << slots.len()];
         for partial in partials {
             for (acc, x) in bins.iter_mut().zip(partial) {
                 *acc += x;
             }
         }
         bins
+    }
+
+    /// The narrowest prefix table whose class holds every indexed item at `slots`,
+    /// built on first use, with the frequency rank of each slot (`None` for an
+    /// unindexed item). `None` on a restricted index, when no item is indexed, when no
+    /// class holds them, or when that class's table is over the size guard.
+    fn prefix_table(&self, slots: &[Option<usize>]) -> Option<(&PrefixTable, Vec<Option<u32>>)> {
+        let prefix = self.prefix.as_deref()?;
+        let ranks = prefix.ranks.get_or_init(|| Ranks::new(&self.bitmaps));
+        let item_ranks: Vec<Option<u32>> =
+            slots.iter().map(|s| s.map(|s| ranks.of_slot[s])).collect();
+        let top = item_ranks.iter().flatten().max().map(|&r| r as usize)?;
+        let class = PREFIX_WIDTHS.iter().position(|&width| top < width)?;
+        let table = prefix.tables[class]
+            .get_or_init(|| PrefixTable::build(self, PREFIX_WIDTHS[class], &ranks.top))
+            .as_ref()?;
+        Some((table, item_ranks))
     }
 
     /// Projects every transaction onto `basis`, producing a new row-oriented database —
@@ -548,40 +659,215 @@ impl SlotLookup {
     }
 }
 
-/// Sweeps `word_range` of the basis whose items sit at `slots` of `bitmaps` (`None` for
-/// an unindexed item), with as many byte planes as the basis needs.
-fn sweep_range(
+/// # Panics
+/// Panics if `basis` has more than 25 items: its bin table would not fit in memory.
+fn check_basis_len(basis: &ItemSet) {
+    let ell = basis.len();
+    assert!(
+        ell <= 25,
+        "basis of {ell} items: bin table 2^{ell} too large"
+    );
+}
+
+/// An index's frequency ranks and prefix tables, each built on first use.
+#[derive(Clone, Debug, Default)]
+struct Prefix {
+    ranks: OnceLock<Ranks>,
+    /// `tables[c]` for class `PREFIX_WIDTHS[c]`; `None` once built over the size guard.
+    tables: [OnceLock<Option<PrefixTable>>; PREFIX_WIDTHS.len()],
+}
+
+/// The frequency order of an index's items: descending support, ties by ascending item
+/// id, as [`VerticalIndex::items_by_frequency`].
+#[derive(Clone, Debug)]
+struct Ranks {
+    /// `of_slot[s]`: the rank of the item at bitmap slot `s`.
+    of_slot: Vec<u32>,
+    /// The slots of the first (up to 16) ranks, in rank order.
+    top: Vec<usize>,
+}
+
+impl Ranks {
+    fn new(bitmaps: &[Bitmap]) -> Ranks {
+        let counts: Vec<usize> = bitmaps.iter().map(Bitmap::count_ones).collect();
+        // Slots ascend with item id, so the slot breaks ties as the item id does.
+        let mut by_rank: Vec<usize> = (0..counts.len()).collect();
+        by_rank.sort_unstable_by_key(|&s| (std::cmp::Reverse(counts[s]), s));
+        let mut of_slot = vec![0u32; counts.len()];
+        for (rank, &slot) in by_rank.iter().enumerate() {
+            of_slot[slot] = rank as u32;
+        }
+        by_rank.truncate(PREFIX_WIDTHS[PREFIX_WIDTHS.len() - 1]);
+        Ranks {
+            of_slot,
+            top: by_rank,
+        }
+    }
+}
+
+/// The distinct non-empty row patterns over the `width` most frequent indexed items
+/// (bit `r` ⇔ the item of rank `r`), each with its row count.
+#[derive(Clone, Debug)]
+struct PrefixTable {
+    width: usize,
+    patterns: Vec<u16>,
+    counts: Vec<u32>,
+    /// Rows with a non-empty pattern: the sum of `counts`.
+    covered: u64,
+    /// `pairs[r * width + s]`, `r < s`: the rows holding the items of ranks `r` and `s`.
+    pairs: Vec<usize>,
+}
+
+impl PrefixTable {
+    /// Builds the class-`width` table of `index` from its bitmaps, given the slots of
+    /// its top ranks; `None` when it has more patterns than the size guard allows.
+    ///
+    /// The ranked items are swept on the calling thread into a dense histogram of at
+    /// most `2^16` bins, whose non-zero bins are the patterns.
+    fn build(index: &VerticalIndex, width: usize, top: &[usize]) -> Option<PrefixTable> {
+        let n = index.num_transactions;
+        // Row counts are kept as `u32`; an index over more rows keeps no tables.
+        u32::try_from(n).ok()?;
+        let slots: Vec<Option<usize>> = top.iter().take(width).map(|&s| Some(s)).collect();
+        let mut bins = vec![0u32; 1 << slots.len()];
+        sweep_range(
+            &index.bitmaps,
+            &slots,
+            0..n.div_ceil(64),
+            n,
+            |mask, count| bins[mask] += count as u32,
+        );
+        let (patterns, counts): (Vec<u16>, Vec<u32>) = (1..bins.len())
+            .filter(|&mask| bins[mask] > 0)
+            .map(|mask| (mask as u16, bins[mask]))
+            .unzip();
+        if patterns.len() > n / PREFIX_MIN_ROWS_PER_PATTERN {
+            return None;
+        }
+        let mut pairs = vec![0usize; width * width];
+        for (&pattern, &count) in patterns.iter().zip(&counts) {
+            let mut rest = pattern;
+            while rest != 0 {
+                let r = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let mut others = rest;
+                while others != 0 {
+                    pairs[r * width + others.trailing_zeros() as usize] += count as usize;
+                    others &= others - 1;
+                }
+            }
+        }
+        Some(PrefixTable {
+            width,
+            covered: counts.iter().map(|&count| u64::from(count)).sum(),
+            patterns,
+            counts,
+            pairs,
+        })
+    }
+
+    /// The histogram of a basis whose item `i` has rank `ranks[i]` (`None`: never
+    /// present), over `n` rows. Two byte tables map the low and high byte of a pattern
+    /// to the basis mask bits they carry; the rows with an empty pattern go to bin 0 in
+    /// bulk.
+    fn histogram(&self, ranks: &[Option<u32>], n: usize) -> Vec<u64> {
+        let mut bit_of_rank = [0u32; 16];
+        for (bit, rank) in ranks.iter().enumerate() {
+            if let Some(rank) = rank {
+                bit_of_rank[*rank as usize] = 1 << bit;
+            }
+        }
+        let mut tables = [[0u32; 256]; 2];
+        for (p, table) in tables.iter_mut().enumerate() {
+            for v in 1..256usize {
+                table[v] = table[v & (v - 1)] | bit_of_rank[8 * p + v.trailing_zeros() as usize];
+            }
+        }
+        let mut bins = vec![0u64; 1 << ranks.len()];
+        bins[0] = n as u64 - self.covered;
+        for (&pattern, &count) in self.patterns.iter().zip(&self.counts) {
+            let mask =
+                tables[0][usize::from(pattern & 0xFF)] | tables[1][usize::from(pattern >> 8)];
+            bins[mask as usize] += u64::from(count);
+        }
+        bins
+    }
+
+    /// The flat pair counts (see [`PairCounts`]) of items with ranks `ranks` (`None`:
+    /// never present, so every pair with it counts 0).
+    fn pair_counts(&self, ranks: &[Option<u32>]) -> Vec<usize> {
+        let mut counts = Vec::with_capacity(num_pairs(ranks.len()));
+        for (i, a) in ranks.iter().enumerate() {
+            for b in &ranks[i + 1..] {
+                counts.push(match (a, b) {
+                    (Some(a), Some(b)) => {
+                        let (r, s) = ((*a).min(*b) as usize, (*a).max(*b) as usize);
+                        self.pairs[r * self.width + s]
+                    }
+                    _ => 0,
+                });
+            }
+        }
+        counts
+    }
+}
+
+/// The partial histogram over the items at `slots` of `bitmaps` for `word_range`.
+fn sweep_bins(
     bitmaps: &[Bitmap],
     slots: &[Option<usize>],
     word_range: std::ops::Range<usize>,
     num_transactions: usize,
 ) -> Vec<u64> {
+    let mut bins = vec![0u64; 1 << slots.len()];
+    sweep_range(
+        bitmaps,
+        slots,
+        word_range,
+        num_transactions,
+        |mask, count| bins[mask] += count,
+    );
+    bins
+}
+
+/// Sweeps `word_range` of the items at `slots` of `bitmaps` (`None` for an unindexed
+/// item, at most 32 items), with as many byte planes as they need, and credits every
+/// transaction's mask to `credit(mask, count)`.
+fn sweep_range(
+    bitmaps: &[Bitmap],
+    slots: &[Option<usize>],
+    word_range: std::ops::Range<usize>,
+    num_transactions: usize,
+    credit: impl FnMut(usize, u64),
+) {
     let word_slices: Vec<Option<&[u64]>> = slots
         .iter()
         .map(|slot| slot.map(|i| bitmaps[i].words()))
         .collect();
+    let n = num_transactions;
     match slots.len().div_ceil(8) {
-        1 => sweep_blocks::<1>(&word_slices, word_range, num_transactions),
-        2 => sweep_blocks::<2>(&word_slices, word_range, num_transactions),
-        3 => sweep_blocks::<3>(&word_slices, word_range, num_transactions),
-        _ => sweep_blocks::<4>(&word_slices, word_range, num_transactions),
+        1 => sweep_blocks::<1>(&word_slices, word_range, n, credit),
+        2 => sweep_blocks::<2>(&word_slices, word_range, n, credit),
+        3 => sweep_blocks::<3>(&word_slices, word_range, n, credit),
+        _ => sweep_blocks::<4>(&word_slices, word_range, n, credit),
     }
 }
 
-/// Sweeps `word_range` (64-transaction blocks) of a basis with `P` byte planes
-/// (`word_slices.len()` items, at most `8P`) and returns the partial bin histogram.
+/// Sweeps `word_range` (64-transaction blocks) of `word_slices.len()` items, at most
+/// `8P`, in `P` byte planes, crediting each transaction's mask (bit `i` ⇔ item `i`).
 ///
 /// For each block the item words are fetched once; the OR of them identifies the
-/// transactions intersecting the basis. A dense full block is transposed plane by plane
-/// (see the module docs); in any other block everything non-intersecting goes to bin 0
-/// in bulk and each intersecting transaction's mask is assembled from one bit column.
+/// transactions intersecting the items. A dense full block is transposed plane by
+/// plane (see the module docs); in any other block everything non-intersecting goes to
+/// mask 0 in bulk and each intersecting transaction's mask is assembled from one bit
+/// column.
 fn sweep_blocks<const P: usize>(
     word_slices: &[Option<&[u64]>],
     word_range: std::ops::Range<usize>,
     num_transactions: usize,
-) -> Vec<u64> {
+    mut credit: impl FnMut(usize, u64),
+) {
     let ell = word_slices.len();
-    let mut bins = vec![0u64; 1 << ell];
     // The block's item words, zero-padded to whole byte planes of 8 items.
     let mut block = [[0u64; 8]; P];
     for w in word_range {
@@ -600,7 +886,7 @@ fn sweep_blocks<const P: usize>(
             }
             for b in 0..8 {
                 if planes.iter().all(|plane| plane[b] == 0) {
-                    bins[0] += 8;
+                    credit(0, 8);
                     continue;
                 }
                 // After the bit transpose, byte `j` of `bits[p]` holds the plane's items
@@ -611,13 +897,13 @@ fn sweep_blocks<const P: usize>(
                     for (p, &word) in bits.iter().enumerate() {
                         bin |= (((word >> (8 * j)) & 0xFF) as usize) << (8 * p);
                     }
-                    bins[bin] += 1;
+                    credit(bin, 1);
                 }
             }
         } else {
             // Sparse or partial block: credit the non-intersecting transactions to bin 0
             // in bulk, then assemble a mask per set bit of `occupied`.
-            bins[0] += (block_len as u32 - occupied.count_ones()) as u64;
+            credit(0, (block_len as u32 - occupied.count_ones()) as u64);
             let words = &block.as_flattened()[..ell];
             while occupied != 0 {
                 let j = occupied.trailing_zeros();
@@ -626,11 +912,10 @@ fn sweep_blocks<const P: usize>(
                 for (b, &word) in words.iter().enumerate() {
                     mask |= ((word >> j) & 1) as usize * (1 << b);
                 }
-                bins[mask] += 1;
+                credit(mask, 1);
             }
         }
     }
-    bins
 }
 
 /// Folds `union_bins`, the histogram over `union` (at most [`MAX_GROUP_ITEMS`] items),
@@ -997,5 +1282,68 @@ mod tests {
         assert_eq!(idx.support(&set(&[1])), 0);
         assert_eq!(idx.support(&set(&[])), 0);
         assert_eq!(idx.bin_histogram(&set(&[1])), vec![0, 0]);
+    }
+
+    #[test]
+    fn prefix_tables_are_built_per_class_and_guarded_by_size() {
+        // Items 0..8 are frequent (item j in the rows where bit j % 2 of r % 4 is set:
+        // three non-empty patterns); items 8..20 each appear in one row of their own, so
+        // ranks 8..19 are the singletons and the class-16 table has 3 + 8 patterns.
+        let mut rows: Vec<Vec<u32>> = (0..200u32)
+            .map(|r| (0..8).filter(|&j| (r % 4) >> (j % 2) & 1 == 1).collect())
+            .collect();
+        for item in 8..20 {
+            rows[item as usize * 7].push(item);
+        }
+        let db = TransactionDb::from_transactions(rows);
+        let idx = VerticalIndex::build(&db);
+        let tables =
+            |idx: &VerticalIndex| idx.prefix.as_ref().expect("a whole index").tables.clone();
+        let swept = |idx: &VerticalIndex, basis: &ItemSet| {
+            idx.bin_histograms_swept(std::slice::from_ref(basis), 1)
+                .remove(0)
+        };
+
+        // Nothing indexed to count, or an item ranked past 16: no table is built.
+        assert_eq!(idx.bin_histogram(&set(&[])), vec![200]);
+        assert_eq!(idx.bin_histogram(&set(&[99])), vec![200, 0]);
+        assert_eq!(idx.pair_counts(&set(&[98, 99])).counts(), [0]);
+        let wide = set(&[0, 19]);
+        assert_eq!(idx.bin_histogram(&wide), swept(&idx, &wide));
+        assert!(tables(&idx).iter().all(|t| t.get().is_none()));
+
+        let narrow = set(&[0, 1, 2]);
+        assert_eq!(idx.bin_histogram(&narrow), swept(&idx, &narrow));
+        let eight = tables(&idx)[0].get().expect("class 8 built").clone();
+        let eight = eight.expect("3 patterns over 200 rows is under the guard");
+        assert_eq!((eight.patterns.len(), eight.covered), (3, 150));
+        assert!(tables(&idx)[1].get().is_none(), "class 16 not needed yet");
+
+        let sixteen = set(&[0, 15]);
+        assert_eq!(idx.bin_histogram(&sixteen), swept(&idx, &sixteen));
+        let table = tables(&idx)[1].get().expect("class 16 built").clone();
+        assert_eq!(table.expect("under the guard").patterns.len(), 11);
+        assert_eq!(
+            idx.pair_counts(&set(&[0, 1, 15])),
+            db.pair_counts(&set(&[0, 1, 15]))
+        );
+
+        // A restricted index keeps no tables and answers by the sweep.
+        let restricted = VerticalIndex::build_restricted(&db, &narrow);
+        assert!(restricted.prefix.is_none());
+        assert_eq!(restricted.bin_histogram(&narrow), swept(&idx, &narrow));
+
+        // Every row its own pattern: over the guard, so the class is stored as absent
+        // and answers by the sweep.
+        let distinct: Vec<Vec<u32>> = (0..64u32)
+            .map(|r| (0..8).filter(|&j| r >> (j % 6) & 1 == 1).collect())
+            .collect();
+        let db = TransactionDb::from_transactions(distinct);
+        let idx = VerticalIndex::build(&db);
+        let basis = set(&[0, 1, 2, 3, 4, 5]);
+        let bins = idx.bin_histogram(&basis);
+        assert!(matches!(tables(&idx)[0].get(), Some(None)));
+        assert_eq!(bins, swept(&idx, &basis));
+        assert_eq!(idx.pair_counts(&basis), db.pair_counts(&basis));
     }
 }

@@ -63,8 +63,10 @@ pub enum RegistryError {
     /// classes account privacy in different places — converting silently would either
     /// orphan spent ε or invent a ledger that was never part of the guarantee.
     ModeMismatch(String),
-    /// The state directory or a dataset file could not be read or written.
+    /// The state directory could not be read or written.
     Io(String),
+    /// A dataset's source file could not be read (missing, unreadable or not FIMI).
+    Source(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -96,6 +98,7 @@ impl std::fmt::Display for RegistryError {
                 write!(f, "privacy-mode mismatch: {detail}")
             }
             RegistryError::Io(detail) => write!(f, "persistence failure: {detail}"),
+            RegistryError::Source(detail) => write!(f, "failed to read dataset file {detail}"),
         }
     }
 }
@@ -759,7 +762,7 @@ impl DatasetRegistry {
             DataSource::Rows(db) => (db, None),
             DataSource::File(path) => {
                 let db = pb_fim::io::read_fimi_file(&path)
-                    .map_err(|e| RegistryError::Io(format!("failed to read {path}: {e}")))?;
+                    .map_err(|e| RegistryError::Source(format!("{path}: {e}")))?;
                 (db, Some(path))
             }
         };
@@ -1344,6 +1347,32 @@ mod tests {
         assert!(RegistryError::Io("disk".into())
             .to_string()
             .contains("disk"));
+    }
+
+    #[test]
+    fn an_unreadable_source_file_is_not_a_persistence_failure() {
+        // No state directory is involved, so the message must blame the file.
+        let path = std::env::temp_dir()
+            .join(format!(
+                "pb-registry-no-such-file-{}.dat",
+                std::process::id()
+            ))
+            .display()
+            .to_string();
+        let err = DatasetRegistry::new()
+            .register_spec(RegisterSpec::central(
+                "d",
+                DataSource::File(path.clone()),
+                Epsilon::Finite(1.0),
+            ))
+            .unwrap_err();
+        assert!(matches!(err, RegistryError::Source(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(
+            message.starts_with(&format!("failed to read dataset file {path}: ")),
+            "{message}"
+        );
+        assert!(!message.contains("persistence"), "{message}");
     }
 
     #[test]

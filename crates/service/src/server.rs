@@ -888,7 +888,7 @@ fn registry_error(e: RegistryError) -> WireError {
         | RegistryError::InvalidShards { .. } => ErrorCode::Malformed,
         RegistryError::NotFound(_) => ErrorCode::UnknownDataset,
         RegistryError::ModeMismatch(_) => ErrorCode::ModeMismatch,
-        RegistryError::Io(_) => ErrorCode::Unavailable,
+        RegistryError::Io(_) | RegistryError::Source(_) => ErrorCode::Unavailable,
     };
     WireError::new(code, e.to_string())
 }
@@ -898,6 +898,9 @@ fn registry_error(e: RegistryError) -> WireError {
 /// is the ε the outcome is about: the requested spend for a central query, 0 for an
 /// LDP query — LDP mining is post-processing and must never inflate the audited
 /// central totals.
+///
+/// A traced request records the append, fsync included on a durable server, as its
+/// `audit` stage.
 fn audit_query(
     ctx: &ServerCtx,
     trace: Option<&ReqTrace>,
@@ -906,6 +909,7 @@ fn audit_query(
     seed: u64,
     outcome: AuditOutcome,
 ) {
+    let started = ctx.telemetry.now_us();
     ctx.audit.append(&AuditRecord {
         trace: trace
             .map(|t| t.id().to_string())
@@ -917,6 +921,9 @@ fn audit_query(
         outcome,
         ts_ms: AuditLog::now_ms(),
     });
+    if let Some(req) = trace {
+        req.span_since("audit", started);
+    }
 }
 
 /// The query path: ledger debit → cached index → PrivBasis → response.

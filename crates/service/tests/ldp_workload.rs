@@ -397,4 +397,31 @@ fn offline_knobs_are_token_gated_and_live() {
     assert!(err.message.contains("state-dir"), "{}", err.message);
     let err = server_code(client.snapshot_every(ADMIN_TOKEN, u64::MAX).unwrap_err());
     assert_eq!(err.code, ErrorCode::Malformed);
+
+    // An unreadable source file keeps its `unavailable` code, but the message names
+    // the file, not persistence: this server has no state directory at all.
+    let missing = std::env::temp_dir().join(format!(
+        "{}-{}.dat",
+        unique("pb-no-such-file"),
+        std::process::id()
+    ));
+    let err = server_code(
+        client
+            .register(
+                ADMIN_TOKEN,
+                RegisterRequest {
+                    name: unique("missing"),
+                    source: RegisterSource::Path(missing.display().to_string()),
+                    budget: Some(1.0),
+                    shards: None,
+                },
+            )
+            .unwrap_err(),
+    );
+    assert_eq!(err.code, ErrorCode::Unavailable);
+    assert!(
+        err.message.starts_with("failed to read dataset file "),
+        "{}",
+        err.message
+    );
 }

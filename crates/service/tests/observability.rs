@@ -224,11 +224,13 @@ fn audit_log_reconciles_exactly_with_the_journal_after_an_unclean_restart() {
         Arc::clone(&registry),
         ServiceConfig {
             threads: 2,
+            http_port: Some(0),
             ..ServiceConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
+    let http_addr = server.http_addr().expect("http configured").unwrap();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     // One served round-trip proves run() is past its setup (audit open + reconcile
     // happen before the accept loop starts) — only then is the file safe to read.
@@ -274,6 +276,24 @@ fn audit_log_reconciles_exactly_with_the_journal_after_an_unclean_restart() {
     assert_eq!(
         audited,
         registry.get("retail").unwrap().ledger().unwrap().spent()
+    );
+
+    // On this durable server the audit append (and its fsync) is a stage of its own:
+    // a span in the trace and a `pb_stage_duration_seconds` series, not time left
+    // unattributed between the debit and the encode.
+    client
+        .raw_line(r#"{"v":2,"id":"audited","op":"query","dataset":"retail","k":5,"epsilon":0.25,"seed":11}"#)
+        .unwrap();
+    let trace = client.trace("audited").unwrap();
+    assert_eq!(trace.outcome, "released");
+    for stage in ["debit", "audit", "encode"] {
+        assert!(trace.has_span(stage), "missing span `{stage}`: {trace:?}");
+    }
+    let (status, metrics) = http_request(http_addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("pb_stage_duration_seconds_bucket{stage=\"audit\",le=\""),
+        "missing the audit stage in:\n{metrics}"
     );
 
     // A refused query (budget exhausted) is audited too, spending nothing.
