@@ -13,6 +13,13 @@
 //!
 //! * `k40` — λ=14 items and 20 pairs, giving bases of 5/5/4/4/5 items;
 //! * `k100` — λ=24 items and 45 pairs, giving bases of 6/7/5/5/5/5/6 items.
+//!
+//! `reply/encode` — `Response::encode` of a released query reply at v2 with an id,
+//! the last step of every served query. The replies are pinned-seed ε=1 releases
+//! (noisy, fractional counts, as served):
+//!
+//! * `k20` — 20 itemsets from one 9-item basis;
+//! * `k40` — 40 itemsets from five bases of 4–5 items.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pb_bench::quest_db;
@@ -20,6 +27,7 @@ use pb_core::freq::basis_freq_counts_with_histograms;
 use pb_core::{construct_basis_set, PrivBasis, PrivBasisOutput, PrivBasisParams};
 use pb_dp::Epsilon;
 use pb_fim::VerticalIndex;
+use pb_proto::{QueryReply, ReleasedItemset, Response, PROTOCOL_VERSION};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -94,5 +102,44 @@ fn bench_construct(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lattice, bench_construct);
+fn bench_encode(c: &mut Criterion) {
+    let db = quest_db(100_000);
+    let pb = PrivBasis::with_defaults();
+    let mut group = c.benchmark_group("reply/encode");
+    group.sample_size(100);
+    for (name, k, shape) in [("k20", 20, vec![9]), ("k40", 40, vec![5, 5, 4, 4, 5])] {
+        let output = pb
+            .run(&mut StdRng::seed_from_u64(5), &db, k, Epsilon::Finite(1.0))
+            .unwrap();
+        assert_eq!(
+            widths(&output),
+            shape,
+            "the pinned k={k} release no longer has the {name} shape"
+        );
+        assert_eq!(output.itemsets.len(), k);
+        // Built field for field as the server's `query_reply` builds it.
+        let reply = Response::Query(QueryReply {
+            dataset: "quest".into(),
+            epsilon_spent: 1.0,
+            remaining_budget: 99.0,
+            seed: 5,
+            lambda: output.lambda as u64,
+            candidate_count: output.candidate_count as u64,
+            itemsets: output
+                .itemsets
+                .iter()
+                .map(|(itemset, count)| ReleasedItemset {
+                    items: itemset.iter().collect(),
+                    count: *count,
+                })
+                .collect(),
+        });
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(reply.encode(PROTOCOL_VERSION, Some("q-1"))))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_lattice, bench_construct, bench_encode);
 criterion_main!(benches);

@@ -145,13 +145,13 @@ pub struct PrivBasisOutput {
     pub candidate_count: usize,
 }
 
-/// A post-selection rewrite of every candidate count: `(itemset, count) → count'`,
+/// A post-selection rewrite of every candidate count: `(items, count) → count'`,
 /// applied once — after the shard merge and the consistency repair, before the final
 /// top-`k` ranking. The LDP serving path passes the
 /// [`LdpChannel::debias`](https://docs.rs/pb-ldp) correction here so supports observed
 /// over perturbed data are compared across itemset sizes on a debiased scale, while the
 /// exact integer counting underneath (and hence shard byte-identity) is untouched.
-pub type CountTransform<'a> = &'a dyn Fn(&ItemSet, f64) -> f64;
+pub type CountTransform<'a> = &'a dyn Fn(&[Item], f64) -> f64;
 
 /// The PrivBasis method (Algorithm 3).
 #[derive(Debug, Clone)]

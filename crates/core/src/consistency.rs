@@ -27,13 +27,13 @@
 //!
 //! [`enforce_consistency_in_place`] runs on the candidate lattice of
 //! [`NoisyCandidateCounts`] (see the `freq` module docs): candidate ids are in
-//! `ItemSet` order, so the children's (length, itemset) visit order is a stable sort of
-//! the ids by length, and each child's parents come from its CSR list in ascending
-//! removed-item order. Counts are rewritten in their `Vec<f64>`; variances are read,
-//! never written. [`enforce_consistency`] is a thin wrapper for callers that want a map:
-//! it runs the same pass on a clone.
+//! `ItemSet` order, so the children's (length, itemset) visit order is a counting sort
+//! of the ids by the lengths their item offsets give, and each child's parents come
+//! from its CSR list in ascending removed-item order. Counts are rewritten in their
+//! `Vec<f64>`; variances are read, never written. [`enforce_consistency`] is a thin
+//! wrapper for callers that want a map: it runs the same pass on a clone.
 
-use crate::freq::NoisyCandidateCounts;
+use crate::freq::{Lattice, NoisyCandidateCounts, MAX_SUPPORTED_BASIS_LEN};
 use pb_fim::itemset::ItemSet;
 use std::collections::BTreeMap;
 
@@ -98,11 +98,9 @@ pub fn enforce_consistency_in_place(
     }
 
     if options.enforce_monotonicity {
-        // Children in (len, itemset) order: ids are in itemset order, so a stable sort by
-        // length. Singletons have no candidate parents and are left out.
-        let sets = lattice.sets;
-        let mut children: Vec<usize> = (0..sets.len()).filter(|&c| sets[c].len() >= 2).collect();
-        children.sort_by_key(|&c| sets[c].len());
+        // Children in (len, itemset) order: ids are in itemset order, so a counting sort
+        // by length. Singletons have no candidate parents and are left out.
+        let children = children_by_length(&lattice, adjusted.len());
         // Relative noise variance of each candidate ("bin units").
         let variance = |c: usize| lattice.variances[c].max(1e-12);
 
@@ -112,6 +110,7 @@ pub fn enforce_consistency_in_place(
         // Dykstra-style iteration rather than a single pass.
         for _ in 0..options.sweeps {
             for &child in &children {
+                let child = child as usize;
                 for &parent in lattice.parents_of(child) {
                     let parent = parent as usize;
                     let parent_count = adjusted[parent];
@@ -132,6 +131,7 @@ pub fn enforce_consistency_in_place(
         // candidate is visited as a child itself, and candidates are only ever raised, so
         // a single pass leaves zero violations.
         for &child in children.iter().rev() {
+            let child = child as usize;
             let child_count = adjusted[child];
             for &parent in lattice.parents_of(child) {
                 let parent_count = &mut adjusted[parent as usize];
@@ -149,6 +149,29 @@ pub fn enforce_consistency_in_place(
             }
         }
     }
+}
+
+/// The candidates of length ≥ 2 in (length, itemset) order: a counting sort of the ids
+/// by the lengths their item offsets give, which keeps each length's ids ascending.
+fn children_by_length(lattice: &Lattice<'_>, candidates: usize) -> Vec<u32> {
+    // starts[l] = where length-l ids begin; lengths are at most the basis cap.
+    let mut starts = [0usize; MAX_SUPPORTED_BASIS_LEN + 2];
+    for c in 0..candidates {
+        starts[lattice.len_of(c) + 1] += 1;
+    }
+    for l in 1..starts.len() {
+        starts[l] += starts[l - 1];
+    }
+    let singletons = starts[2];
+    let mut children = vec![0u32; candidates - singletons];
+    for c in 0..candidates {
+        let len = lattice.len_of(c);
+        if len >= 2 {
+            children[starts[len] - singletons] = c as u32;
+            starts[len] += 1;
+        }
+    }
+    children
 }
 
 /// Counts how many (parent ⊂ child within `C(B)`) monotonicity violations remain in a count
@@ -232,7 +255,7 @@ mod tests {
         let counts = basis_freq_counts(&mut rng, &db(), &basis, Epsilon::Infinite);
         let adjusted = enforce_consistency(&counts, db().len(), ConsistencyOptions::default());
         for (s, e) in counts.iter() {
-            assert!((adjusted[s] - e.count).abs() < 1e-9);
+            assert!((adjusted[&s] - e.count).abs() < 1e-9);
         }
     }
 
@@ -249,7 +272,7 @@ mod tests {
             },
         );
         for (s, e) in counts.iter() {
-            assert_eq!(nothing[s], e.count);
+            assert_eq!(nothing[&s], e.count);
         }
         let clamp_only = enforce_consistency(
             &counts,
@@ -275,9 +298,9 @@ mod tests {
             let adjusted =
                 enforce_consistency(&counts, database.len(), ConsistencyOptions::default());
             for (s, e) in counts.iter() {
-                let truth = database.support(s) as f64;
+                let truth = database.support(&s) as f64;
                 raw_err += (e.count - truth).abs();
-                adj_err += (adjusted[s] - truth).abs();
+                adj_err += (adjusted[&s] - truth).abs();
             }
         }
         assert!(

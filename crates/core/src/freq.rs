@@ -41,24 +41,33 @@
 //!
 //! [`NoisyCandidateCounts`] is one flat table, built once per query by the
 //! reconstruction and then updated in place by the consistency pass
-//! ([`crate::consistency::enforce_consistency_in_place`]):
+//! ([`crate::consistency::enforce_consistency_in_place`]). A query reconstructs every
+//! candidate of `C(B)` (`2^ℓ − 1` per basis) but releases only `k`, so the table holds
+//! no per-candidate allocation:
 //!
-//! * **Ids in `ItemSet` order.** Every candidate appears once, ascending in `ItemSet`
-//!   order; its position is its id, and its count and variance sit at that index of two
-//!   parallel `Vec<f64>`s. `iter` walks the ids, `get` binary-searches the itemsets, and
-//!   `top_k` ranks ids and clones only the winners.
+//! * **Ids in `ItemSet` order, items back to back.** Every candidate appears once,
+//!   ascending in `ItemSet` order; its position is its id. All candidates' items sit
+//!   back to back in one `Vec<Item>`, cut by `u32` offsets (candidate `c` is
+//!   `items[item_start[c]..item_start[c + 1]]`, so its length is an offset
+//!   difference), and its count and variance sit at index `c` of two parallel
+//!   `Vec<f64>`s. `get` binary-searches the item slices, `iter` builds each
+//!   candidate's `ItemSet` as it goes, and `top_k` ranks ids on item slices and builds
+//!   `ItemSet`s for the `k` winners only.
 //! * **Per-basis order plus a merge.** Each basis' non-empty subsets are enumerated
 //!   directly in `ItemSet` order — the preorder of its subset tree, `{a₁}, {a₁,a₂},
 //!   {a₁,a₂,a₃}, …, {a₁,a₃}, …` — so nothing inside a basis is compared or sorted. The
 //!   `w` per-basis streams are then merged by their heads, ties going to the lower
 //!   basis: a candidate covered by several bases gets one id and its estimates merge in
 //!   basis order — the inverse-variance fold of lines 16–23 of Algorithm 1, term for
-//!   term. A single basis (the k ≤ 20 shape) is just its own order.
-//! * **Parent edges from basis masks.** Each basis keeps a mask → id table while the
-//!   lattice is built; the parent of `(basis i, mask m)` through bit `b` is
-//!   `table_i[m & !(1 << b)]`. Each candidate's parent ids (one per item, ascending
-//!   removed item) are stored as a CSR list, so the consistency pass follows an edge
-//!   with two array reads — no itemset is allocated and no map searched.
+//!   term. A single basis (the k ≤ 20 shape) is just its own order. Every vector is
+//!   reserved up front at its no-overlap size (`Σ (2^ℓᵢ − 1)` candidates,
+//!   `Σ ℓᵢ·2^(ℓᵢ−1)` items), which is exact for a single basis.
+//! * **Parent edges from basis masks.** Each basis keeps a mask → id table (one flat
+//!   `Vec<u32>` for all bases) while the lattice is built; the parent of
+//!   `(basis i, mask m)` through bit `b` is `table_i[m & !(1 << b)]`. Each candidate's
+//!   parent ids (one per item, ascending removed item) are stored as a CSR list, so the
+//!   consistency pass follows an edge with two array reads — no itemset is allocated
+//!   and no map searched.
 
 use crate::basis::BasisSet;
 use pb_dp::{Epsilon, LaplaceNoise};
@@ -70,12 +79,15 @@ use rand::Rng;
 pub const MAX_SUPPORTED_BASIS_LEN: usize = 20;
 
 /// Noisy counts (and relative variances) for every candidate itemset in `C(B)`, laid out
-/// as the dense candidate lattice described in the module docs.
+/// as the flat candidate lattice described in the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct NoisyCandidateCounts {
-    /// Every candidate once, ascending in `ItemSet` order; a candidate's position here is
-    /// its id, which indexes the parallel vectors below.
-    sets: Vec<ItemSet>,
+    /// Every candidate's items, back to back, candidates ascending in `ItemSet` order; a
+    /// candidate's position in that order is its id.
+    items: Vec<Item>,
+    /// Offsets into `items`: candidate `c` is `items[item_start[c]..item_start[c + 1]]`
+    /// (empty when there are no candidates, else one longer than `counts`).
+    item_start: Vec<u32>,
     /// Noisy count of each candidate.
     counts: Vec<f64>,
     /// Relative variance of each candidate's estimate, in bin units.
@@ -92,8 +104,8 @@ pub struct NoisyCandidateCounts {
 /// The read-only structure of a [`NoisyCandidateCounts`] lattice: what the consistency
 /// pass walks while it rewrites the counts.
 pub(crate) struct Lattice<'a> {
-    /// The candidates, indexed by id (ascending `ItemSet` order).
-    pub(crate) sets: &'a [ItemSet],
+    /// Item offsets, indexed by id (see [`NoisyCandidateCounts`]).
+    item_start: &'a [u32],
     /// Relative variance of each candidate, indexed by id.
     pub(crate) variances: &'a [f64],
     parent_start: &'a [u32],
@@ -101,6 +113,11 @@ pub(crate) struct Lattice<'a> {
 }
 
 impl<'a> Lattice<'a> {
+    /// The number of items of candidate `id`.
+    pub(crate) fn len_of(&self, id: usize) -> usize {
+        (self.item_start[id + 1] - self.item_start[id]) as usize
+    }
+
     /// The ids of candidate `id`'s parents (`X \ {x}` for each `x ∈ X`, ascending `x`);
     /// empty for a singleton.
     pub(crate) fn parents_of(&self, id: usize) -> &'a [u32] {
@@ -120,66 +137,80 @@ pub struct CandidateEstimate {
 impl NoisyCandidateCounts {
     /// Number of candidates.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.counts.len()
     }
 
     /// True if no candidates were produced (empty basis set).
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.counts.is_empty()
+    }
+
+    /// The items of candidate `id`, ascending.
+    fn items_of(&self, id: usize) -> &[Item] {
+        &self.items[self.item_start[id] as usize..self.item_start[id + 1] as usize]
     }
 
     /// The estimate for one candidate.
     pub fn get(&self, itemset: &ItemSet) -> Option<CandidateEstimate> {
-        self.sets
-            .binary_search(itemset)
-            .ok()
-            .map(|id| self.estimate(id))
+        // Ids ascend in `ItemSet` order, which is the slice order of the items.
+        let target = itemset.items();
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.items_of(mid).cmp(target) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(self.estimate(mid)),
+            }
+        }
+        None
     }
 
-    /// Iterates over all candidates and their estimates, in `ItemSet` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ItemSet, CandidateEstimate)> {
-        self.sets
-            .iter()
-            .enumerate()
-            .map(|(id, set)| (set, self.estimate(id)))
+    /// Iterates over all candidates and their estimates, in `ItemSet` order. Each
+    /// candidate's `ItemSet` is built as the iterator reaches it (the lattice stores
+    /// none).
+    pub fn iter(&self) -> impl Iterator<Item = (ItemSet, CandidateEstimate)> + '_ {
+        (0..self.len()).map(|id| (self.itemset(id), self.estimate(id)))
     }
 
     /// The `k` candidates with the highest noisy counts, sorted descending
     /// (ties broken deterministically by itemset order).
     ///
-    /// Ranks candidate ids with a selection partition first, so the cost is
-    /// `O(|C| + k log k)` rather than sorting all `|C|` candidates, and only the `k`
-    /// winners' itemsets are cloned.
+    /// Ranks candidate ids on their item slices with a selection partition first, so
+    /// the cost is `O(|C| + k log k)` rather than sorting all `|C|` candidates, and
+    /// builds `ItemSet`s for the `k` winners only.
     pub fn top_k(&self, k: usize) -> Vec<(ItemSet, f64)> {
         if k == 0 {
             return Vec::new();
         }
-        let rank = |&a: &usize, &b: &usize| {
+        let rank = |&a: &u32, &b: &u32| {
+            let (a, b) = (a as usize, b as usize);
             compare_ranked(
-                (&self.sets[a], self.counts[a]),
-                (&self.sets[b], self.counts[b]),
+                (self.items_of(a), self.counts[a]),
+                (self.items_of(b), self.counts[b]),
             )
         };
-        let mut ids: Vec<usize> = (0..self.len()).collect();
+        let mut ids: Vec<u32> = (0..self.len() as u32).collect();
         if k < ids.len() {
             ids.select_nth_unstable_by(k - 1, rank);
             ids.truncate(k);
         }
         ids.sort_unstable_by(rank);
         ids.into_iter()
-            .map(|id| (self.sets[id].clone(), self.counts[id]))
+            .map(|id| (self.itemset(id as usize), self.counts[id as usize]))
             .collect()
     }
 
-    /// Rewrites every candidate's count as `f(itemset, count)` (variances are kept: they
+    /// Rewrites every candidate's count as `f(items, count)` (variances are kept: they
     /// describe the noise that was added, which post-processing does not change). This is
     /// the debias seam of the LDP path: supports observed over perturbed data are
     /// corrected *once*, after any shard merge, just before top-`k` — so integer shard
     /// counts still sum exactly and the release stays byte-identical across shard counts
     /// and placements.
-    pub fn map_counts(&mut self, f: impl Fn(&ItemSet, f64) -> f64) {
-        for (itemset, count) in self.sets.iter().zip(&mut self.counts) {
-            *count = f(itemset, *count);
+    pub fn map_counts(&mut self, f: impl Fn(&[Item], f64) -> f64) {
+        for id in 0..self.len() {
+            let items = &self.items[self.item_start[id] as usize..self.item_start[id + 1] as usize];
+            self.counts[id] = f(items, self.counts[id]);
         }
     }
 
@@ -187,12 +218,16 @@ impl NoisyCandidateCounts {
     /// consistency pass).
     pub(crate) fn counts_and_lattice(&mut self) -> (&mut [f64], Lattice<'_>) {
         let lattice = Lattice {
-            sets: &self.sets,
+            item_start: &self.item_start,
             variances: &self.variances,
             parent_start: &self.parent_start,
             parents: &self.parents,
         };
         (&mut self.counts, lattice)
+    }
+
+    fn itemset(&self, id: usize) -> ItemSet {
+        ItemSet::from_sorted(self.items_of(id).to_vec()).expect("candidate items are sorted")
     }
 
     fn estimate(&self, id: usize) -> CandidateEstimate {
@@ -205,7 +240,7 @@ impl NoisyCandidateCounts {
 
 /// Ranking order of published candidates: descending noisy count, ties by ascending
 /// (length, itemset) so output is deterministic.
-fn compare_ranked(a: (&ItemSet, f64), b: (&ItemSet, f64)) -> std::cmp::Ordering {
+fn compare_ranked(a: (&[Item], f64), b: (&[Item], f64)) -> std::cmp::Ordering {
     b.1.partial_cmp(&a.1)
         .expect("noisy counts are finite")
         .then_with(|| a.0.len().cmp(&b.0.len()))
@@ -302,21 +337,30 @@ struct SubsetWalk<'a> {
     basis: &'a [Item],
     /// The current subset's bin mask; 0 once the walk is done.
     mask: usize,
-    /// The current subset's items, ascending.
-    items: Vec<Item>,
+    /// The current subset's items, ascending, in `slots[..len]`.
+    slots: [Item; MAX_SUPPORTED_BASIS_LEN],
+    len: usize,
 }
 
 impl<'a> SubsetWalk<'a> {
     fn new(basis: &'a [Item]) -> Self {
+        let mut slots = [0; MAX_SUPPORTED_BASIS_LEN];
+        slots[0] = basis[0];
         SubsetWalk {
             basis,
             mask: 1,
-            items: vec![basis[0]],
+            slots,
+            len: 1,
         }
     }
 
     fn is_done(&self) -> bool {
         self.mask == 0
+    }
+
+    /// The current subset's items, ascending.
+    fn items(&self) -> &[Item] {
+        &self.slots[..self.len]
     }
 
     /// Steps to the next subset in preorder: extend by the next item if there is one;
@@ -325,15 +369,16 @@ impl<'a> SubsetWalk<'a> {
         let last = top_bit(self.mask);
         if last + 1 < self.basis.len() {
             self.mask |= 1 << (last + 1);
-            self.items.push(self.basis[last + 1]);
+            self.slots[self.len] = self.basis[last + 1];
+            self.len += 1;
             return;
         }
         self.mask ^= 1 << last;
-        self.items.pop();
-        if let Some(slot) = self.items.last_mut() {
+        self.len -= 1;
+        if self.len > 0 {
             let prev = top_bit(self.mask);
             self.mask ^= (1 << prev) | (1 << (prev + 1));
-            *slot = self.basis[prev + 1];
+            self.slots[self.len - 1] = self.basis[prev + 1];
         }
     }
 }
@@ -343,7 +388,7 @@ fn top_bit(mask: usize) -> usize {
 }
 
 /// Shared reconstruction: adds noise to the exact histograms, runs the superset zeta
-/// transform, and lays every candidate out on the lattice — an estimate covered by
+/// transform, and lays every candidate out on the flat lattice — an estimate covered by
 /// several bases merged inverse-variance in basis order, parent edges read off each
 /// basis' mask → id table.
 fn reconstruct(
@@ -365,38 +410,62 @@ fn reconstruct(
         })
         .collect();
 
+    // No-overlap sizes: a basis of length ℓ has 2^ℓ − 1 candidates holding ℓ·2^(ℓ−1)
+    // items (each item is in half the subsets), and as many parent edges less its ℓ
+    // singletons. Exact for a single basis, an upper bound otherwise.
+    let candidates: usize = bases.iter().map(|b| (1usize << b.len()) - 1).sum();
+    let item_slots: usize = bases.iter().map(|b| b.len() << (b.len() - 1)).sum();
+    let edges: usize = bases
+        .iter()
+        .map(|b| (b.len() << (b.len() - 1)) - b.len())
+        .sum();
+    let mut result = NoisyCandidateCounts {
+        items: Vec::with_capacity(item_slots),
+        item_start: Vec::with_capacity(candidates + 1),
+        counts: Vec::with_capacity(candidates),
+        variances: Vec::with_capacity(candidates),
+        parent_start: Vec::with_capacity(candidates + 1),
+        parents: Vec::with_capacity(edges),
+    };
+    result.item_start.push(0);
+    // Basis `b`'s mask → id table is `tables[table_start[b]..][..2^ℓ_b]`.
+    let mut table_start = Vec::with_capacity(bases.len());
+    let mut table_len = 0;
+    for b in bases {
+        table_start.push(table_len);
+        table_len += 1 << b.len();
+    }
+    let mut tables = vec![0u32; table_len];
+    let mut first_entry: Vec<(usize, usize)> = Vec::with_capacity(candidates);
+
     // Merge the per-basis walks by their heads. `pending` holds the live walks sorted
     // descending by (head, basis), so the smallest head is last and walks sharing it
     // pop in basis order: folding them in that order replays the float sequence of
     // folding the bases in one after another (lines 16–23 of Algorithm 1).
     let mut walks: Vec<SubsetWalk> = bases.iter().map(|b| SubsetWalk::new(b.items())).collect();
     fn key<'w>(walks: &'w [SubsetWalk], b: usize) -> (&'w [Item], usize) {
-        (&walks[b].items, b)
+        (walks[b].items(), b)
     }
     let mut pending: Vec<usize> = (0..walks.len()).collect();
     pending.sort_by(|&a, &b| key(&walks, b).cmp(&key(&walks, a)));
-    let mut tables: Vec<Vec<u32>> = bases.iter().map(|b| vec![0; 1 << b.len()]).collect();
-    let mut first_entry: Vec<(usize, usize)> = Vec::new();
-    let mut result = NoisyCandidateCounts::default();
     let mut ties: Vec<usize> = Vec::with_capacity(walks.len());
     while let Some(head) = pending.pop() {
         ties.clear();
         ties.push(head);
         while let Some(&next) = pending.last() {
-            if walks[next].items != walks[head].items {
+            if walks[next].items() != walks[head].items() {
                 break;
             }
             ties.push(pending.pop().expect("peeked"));
         }
-        let id = result.sets.len();
+        let id = result.counts.len();
         for (t, &b) in ties.iter().enumerate() {
             let walk = &walks[b];
             let sum = sums[b][walk.mask];
-            let variance_units = 2f64.powi((bases[b].len() - walk.items.len()) as i32);
+            let variance_units = 2f64.powi((bases[b].len() - walk.len) as i32);
             if t == 0 {
-                let itemset =
-                    ItemSet::from_sorted(walk.items.clone()).expect("basis items are sorted");
-                result.sets.push(itemset);
+                result.items.extend_from_slice(walk.items());
+                result.item_start.push(result.items.len() as u32);
                 result.counts.push(sum);
                 result.variances.push(variance_units);
                 first_entry.push((b, walk.mask));
@@ -407,7 +476,7 @@ fn reconstruct(
                 result.counts[id] = (nv / (v + nv)) * result.counts[id] + (v / (v + nv)) * sum;
                 result.variances[id] = v * nv / (v + nv);
             }
-            tables[b][walk.mask] = id as u32;
+            tables[table_start[b] + walk.mask] = id as u32;
         }
         for &b in &ties {
             walks[b].advance();
@@ -418,15 +487,16 @@ fn reconstruct(
         }
     }
 
-    // The parent of (basis b, mask m) through bit `bit` is `tables[b][m & !bit]`; bits
+    // The parent of (basis b, mask m) through bit `bit` is `table_b[m & !bit]`; bits
     // ascend with items, so each parent list is in ascending removed-item order.
     result.parent_start.push(0);
     for &(b, mask) in &first_entry {
         if mask.count_ones() >= 2 {
+            let table = &tables[table_start[b]..];
             let mut rest = mask;
             while rest != 0 {
                 let bit = rest & rest.wrapping_neg();
-                result.parents.push(tables[b][mask & !bit]);
+                result.parents.push(table[mask & !bit]);
                 rest &= rest - 1;
             }
         }
@@ -590,7 +660,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let counts = basis_freq_counts(&mut rng, &db, &basis, Epsilon::Infinite);
         for (itemset, estimate) in counts.iter() {
-            let truth = db.support(itemset) as f64;
+            let truth = db.support(&itemset) as f64;
             assert!(
                 (estimate.count - truth).abs() < 1e-9,
                 "{itemset:?}: estimate {} truth {}",
@@ -614,7 +684,7 @@ mod tests {
                     basis_freq_counts_naive(&mut StdRng::seed_from_u64(seed), &db, &basis, eps);
                 assert_eq!(indexed.len(), naive.len());
                 for (itemset, est) in indexed.iter() {
-                    let n = naive.get(itemset).expect("same candidate set");
+                    let n = naive.get(&itemset).expect("same candidate set");
                     assert_eq!(est.count.to_bits(), n.count.to_bits(), "{itemset:?}");
                     assert_eq!(est.variance_units.to_bits(), n.variance_units.to_bits());
                 }
@@ -648,7 +718,7 @@ mod tests {
                     );
                     assert_eq!(single.len(), merged.len());
                     for (itemset, est) in single.iter() {
-                        let m = merged.get(itemset).expect("same candidate set");
+                        let m = merged.get(&itemset).expect("same candidate set");
                         assert_eq!(est.count.to_bits(), m.count.to_bits(), "{itemset:?}");
                         assert_eq!(est.variance_units.to_bits(), m.variance_units.to_bits());
                     }
@@ -675,7 +745,10 @@ mod tests {
             Epsilon::Finite(1.0),
         );
         for (itemset, est) in a.iter() {
-            assert_eq!(est.count.to_bits(), b.get(itemset).unwrap().count.to_bits());
+            assert_eq!(
+                est.count.to_bits(),
+                b.get(&itemset).unwrap().count.to_bits()
+            );
         }
     }
 
@@ -716,7 +789,7 @@ mod tests {
         // Reference: sort everything, truncate.
         let mut full: Vec<(ItemSet, f64)> =
             counts.iter().map(|(s, e)| (s.clone(), e.count)).collect();
-        full.sort_by(|a, b| compare_ranked((&a.0, a.1), (&b.0, b.1)));
+        full.sort_by(|a, b| compare_ranked((a.0.items(), a.1), (b.0.items(), b.1)));
         for k in [0, 1, 3, 7, counts.len(), counts.len() + 5] {
             let got = counts.top_k(k);
             assert_eq!(got.len(), k.min(counts.len()));

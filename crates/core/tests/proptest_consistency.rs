@@ -209,10 +209,10 @@ proptest! {
         let oracle = oracle_counts(seed, &db, &basis, epsilon);
         prop_assert_eq!(counts.len(), oracle.len());
         for ((set, est), (oracle_set, oracle_est)) in counts.iter().zip(&oracle) {
-            prop_assert_eq!(set, oracle_set);
+            prop_assert_eq!(&set, oracle_set);
             prop_assert_eq!(est.count.to_bits(), oracle_est.count.to_bits(), "{:?}", set);
             prop_assert_eq!(est.variance_units.to_bits(), oracle_est.variance_units.to_bits());
-            let got = counts.get(set).expect("every candidate is found");
+            let got = counts.get(&set).expect("every candidate is found");
             prop_assert_eq!(got.count.to_bits(), oracle_est.count.to_bits());
             prop_assert_eq!(got.variance_units.to_bits(), oracle_est.variance_units.to_bits());
         }
@@ -230,11 +230,11 @@ proptest! {
             for (((set, est), (oracle_set, &oracle_count)), (_, &wrapped_count)) in
                 lattice.iter().zip(&expected).zip(&wrapped)
             {
-                prop_assert_eq!(set, oracle_set);
+                prop_assert_eq!(&set, oracle_set);
                 prop_assert_eq!(est.count.to_bits(), oracle_count.to_bits(), "{:?} {:?}", set, options);
                 prop_assert_eq!(wrapped_count.to_bits(), oracle_count.to_bits());
                 // Post-processing never touches the variances.
-                let raw = counts.get(set).unwrap();
+                let raw = counts.get(&set).unwrap();
                 prop_assert_eq!(est.variance_units.to_bits(), raw.variance_units.to_bits());
             }
             if options.enforce_monotonicity {

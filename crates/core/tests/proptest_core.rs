@@ -53,8 +53,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(7);
         let counts = basis_freq_counts(&mut rng, &db, &basis, Epsilon::Infinite);
         for (itemset, est) in counts.iter() {
-            prop_assert!((est.count - db.support(itemset) as f64).abs() < 1e-9,
-                         "{:?}: {} vs {}", itemset, est.count, db.support(itemset));
+            prop_assert!((est.count - db.support(&itemset) as f64).abs() < 1e-9,
+                         "{:?}: {} vs {}", itemset, est.count, db.support(&itemset));
         }
         // Every non-empty subset of every basis is a candidate.
         for b in basis.bases() {
@@ -75,7 +75,7 @@ proptest! {
         for (itemset, est) in noisy.iter() {
             prop_assert!(est.count.is_finite());
             prop_assert!(est.variance_units > 0.0);
-            prop_assert!(noiseless.get(itemset).is_some());
+            prop_assert!(noiseless.get(&itemset).is_some());
         }
     }
 
@@ -170,9 +170,9 @@ proptest! {
         let mut raw_err = 0.0;
         let mut adj_err = 0.0;
         for (itemset, est) in counts.iter() {
-            let truth = db.support(itemset) as f64;
+            let truth = db.support(&itemset) as f64;
             raw_err += (est.count - truth).abs();
-            adj_err += (adjusted[itemset] - truth).abs();
+            adj_err += (adjusted[&itemset] - truth).abs();
         }
         prop_assert!(raw_err < 1e-9);
         prop_assert!(adj_err <= raw_err + 1e-9, "raw {} adjusted {}", raw_err, adj_err);

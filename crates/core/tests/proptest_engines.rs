@@ -36,7 +36,7 @@ proptest! {
             &mut StdRng::seed_from_u64(seed), &db, &basis, Epsilon::Finite(0.5));
         prop_assert_eq!(indexed.len(), naive.len());
         for (itemset, est) in indexed.iter() {
-            let other = naive.get(itemset).expect("same candidate set");
+            let other = naive.get(&itemset).expect("same candidate set");
             prop_assert_eq!(est.count.to_bits(), other.count.to_bits());
             prop_assert_eq!(est.variance_units.to_bits(), other.variance_units.to_bits());
         }
@@ -63,7 +63,7 @@ proptest! {
             &mut StdRng::seed_from_u64(seed), &index, &basis, Epsilon::Finite(1.0));
         prop_assert_eq!(a.len(), b.len());
         for (itemset, est) in a.iter() {
-            prop_assert_eq!(est.count.to_bits(), b.get(itemset).unwrap().count.to_bits());
+            prop_assert_eq!(est.count.to_bits(), b.get(&itemset).unwrap().count.to_bits());
         }
     }
 
@@ -80,8 +80,8 @@ proptest! {
         let counts = basis_freq_counts(
             &mut StdRng::seed_from_u64(0), &db, &basis, Epsilon::Infinite);
         for (itemset, est) in counts.iter() {
-            prop_assert!((est.count - db.support(itemset) as f64).abs() < 1e-9,
-                         "{:?}: {} vs {}", itemset, est.count, db.support(itemset));
+            prop_assert!((est.count - db.support(&itemset) as f64).abs() < 1e-9,
+                         "{:?}: {} vs {}", itemset, est.count, db.support(&itemset));
         }
     }
 }

@@ -9,6 +9,10 @@
 //! Objects preserve insertion order (a `Vec` of pairs, not a map): responses stay stable
 //! for golden tests, and the handful of keys per message makes linear lookup cheaper than
 //! hashing anyway.
+//!
+//! The number and string rules live in one place (`push_number`, `push_count`,
+//! `push_string`): the tree's `Display` and the streaming `ObjectWriter` behind
+//! `Response::encode` both append through them, so the two cannot drift.
 
 use std::fmt;
 
@@ -116,64 +120,190 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Number(x) => write_number(f, *x),
-            Json::String(s) => write_escaped(f, s),
-            Json::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
+        let mut out = String::new();
+        push_json(&mut out, self);
+        f.write_str(&out)
+    }
+}
+
+/// Appends `value`'s compact encoding: the tree form of the rules below.
+fn push_json(out: &mut String, value: &Json) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Number(x) => push_number(out, *x),
+        Json::String(s) => push_string(out, s),
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
-                f.write_str("]")
+                push_json(out, item);
             }
-            Json::Object(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+            out.push(']');
+        }
+        Json::Object(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
-                f.write_str("}")
+                push_string(out, k);
+                out.push(':');
+                push_json(out, v);
             }
+            out.push('}');
         }
     }
 }
 
-/// JSON has no Infinity/NaN literals; emit them as null so the writer can never produce
-/// output the parser rejects.
-fn write_number(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
+/// Appends a number. Integral values below 1e15 in magnitude print as integers;
+/// anything else prints in Rust's shortest round-trip form. JSON has no Infinity/NaN
+/// literals, so those print as `null` and the writer never produces output the parser
+/// rejects.
+pub(crate) fn push_number(out: &mut String, x: f64) {
     if !x.is_finite() {
-        return f.write_str("null");
-    }
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        write!(f, "{}", x as i64)
+        out.push_str("null");
+    } else if x.fract() == 0.0 && x.abs() < 1e15 {
+        let i = x as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        push_digits(out, i.unsigned_abs());
     } else {
-        write!(f, "{x}")
+        use fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{x}");
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+/// Appends a count. It travels as a JSON number, so it reads exactly as
+/// [`push_number`]`(n as f64)` — which, below 1e15, is just its decimal digits.
+pub(crate) fn push_count(out: &mut String, n: u64) {
+    if n < 1_000_000_000_000_000 {
+        push_digits(out, n);
+    } else {
+        push_number(out, n as f64);
+    }
+}
+
+fn push_digits(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    // Only ASCII digits were written.
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Appends a quoted string. `"`, `\\` and the control characters are escaped (`\n`,
+/// `\r`, `\t` by name, the rest as `\u00XX`); everything else, non-ASCII text
+/// included, is copied as is. A string with nothing to escape goes out in one
+/// `push_str`.
+pub(crate) fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..at]);
+        if escape.is_empty() {
+            use fmt::Write;
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        clean = at + 1;
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
+}
+
+/// Streams one JSON object into a `String` with the same number and string rules as
+/// the tree's `Display`: the writer behind `Response::encode`, which builds no tree and
+/// no per-field key `String`.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes `"key":` and hands back the buffer for the value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        push_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string field.
+    pub(crate) fn string(&mut self, key: &str, value: &str) {
+        push_string(self.key(key), value);
+    }
+
+    /// A number field.
+    pub(crate) fn number(&mut self, key: &str, value: f64) {
+        push_number(self.key(key), value);
+    }
+
+    /// A count field (a number, see [`push_count`]).
+    pub(crate) fn count(&mut self, key: &str, value: u64) {
+        push_count(self.key(key), value);
+    }
+
+    /// A bool field.
+    pub(crate) fn bool(&mut self, key: &str, value: bool) {
+        self.key(key).push_str(if value { "true" } else { "false" });
+    }
+
+    /// Closes the object.
+    pub(crate) fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+/// Appends `[e₀,e₁,…]`, each element written by `push`.
+pub(crate) fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends `[c₀,c₁,…]`, each element a count.
+pub(crate) fn push_counts(out: &mut String, counts: impl IntoIterator<Item = u64>) {
+    push_array(out, counts, push_count);
 }
 
 /// Maximum container nesting. The parser recurses per level, so without a cap a remote

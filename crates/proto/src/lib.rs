@@ -20,6 +20,17 @@
 //!
 //! The pinned-seed *release bytes* (`"itemsets":[…]`) are identical across v1, v2, and
 //! the HTTP gateway — versioning wraps the payload, it never perturbs it.
+//!
+//! ## One streaming encoder
+//!
+//! Every response — query releases, status, admin acknowledgements, and the shard
+//! worker's `shard_histograms`/`shard_counts` replies — goes out through one encoder,
+//! [`Response::encode`]. It writes straight into one `String` sized up front, with the
+//! number and string rules of [`json`] (integral values below 1e15 as integers, other
+//! numbers in shortest round-trip form, non-finite numbers as `null`; a string with
+//! nothing to escape copied in one piece). No [`Json`] tree and no per-field key
+//! `String` is built. The `Json` tree remains the parser's output and the request
+//! encoder's input; its writer shares the same rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,7 +16,7 @@
 //! [`PbClient`](crate::client::PbClient), and golden byte-identity tests.
 
 use crate::error::{ErrorCode, WireError};
-use crate::json::Json;
+use crate::json::{push_array, push_counts, Json, ObjectWriter};
 
 /// The newest protocol version this crate speaks.
 pub const PROTOCOL_VERSION: u32 = 2;
@@ -1141,60 +1141,48 @@ impl Response {
     /// v1 encodings reproduce the pre-envelope wire bytes exactly: no `v`/`id`/`code`
     /// fields, no server metadata in `status`. That frozen shape *is* the back-compat
     /// guarantee old clients rely on.
+    ///
+    /// Every arm streams into one `String`, sized up front from the payload, with the
+    /// number and string rules of [`Json`]'s writer; no JSON tree is built.
     pub fn encode(&self, v: u32, id: Option<&str>) -> String {
-        let mut fields: Vec<(String, Json)> = Vec::new();
+        let mut out = String::with_capacity(self.encoded_size_hint(id));
+        let mut w = ObjectWriter::new(&mut out);
         if v >= 2 {
-            fields.push(("v".into(), Json::Number(PROTOCOL_VERSION as f64)));
-            fields.push((
-                "id".into(),
-                match id {
-                    Some(id) => Json::String(id.into()),
-                    None => Json::Null,
-                },
-            ));
+            w.count("v", PROTOCOL_VERSION as u64);
+            match id {
+                Some(id) => w.string("id", id),
+                None => w.key("id").push_str("null"),
+            }
         }
         match self {
             Response::Error(e) => {
-                fields.push(("status".into(), Json::String("error".into())));
+                w.string("status", "error");
                 if v >= 2 {
-                    fields.push(("code".into(), Json::String(e.code.as_str().into())));
+                    w.string("code", e.code.as_str());
                 }
-                fields.push(("error".into(), Json::String(e.message.clone())));
+                w.string("error", &e.message);
             }
             Response::Shutdown => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push(("shutting_down".into(), Json::Bool(true)));
+                w.string("status", "ok");
+                w.bool("shutting_down", true);
             }
             Response::Query(q) => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push(("dataset".into(), Json::String(q.dataset.clone())));
-                fields.push(("epsilon_spent".into(), Json::Number(q.epsilon_spent)));
-                fields.push(("remaining_budget".into(), Json::Number(q.remaining_budget)));
-                fields.push(("seed".into(), Json::Number(q.seed as f64)));
-                fields.push(("lambda".into(), Json::Number(q.lambda as f64)));
-                fields.push((
-                    "candidate_count".into(),
-                    Json::Number(q.candidate_count as f64),
-                ));
-                let itemsets = q
-                    .itemsets
-                    .iter()
-                    .map(|row| {
-                        Json::Object(vec![
-                            (
-                                "items".into(),
-                                Json::Array(
-                                    row.items.iter().map(|&i| Json::Number(i as f64)).collect(),
-                                ),
-                            ),
-                            ("count".into(), Json::Number(row.count)),
-                        ])
-                    })
-                    .collect();
-                fields.push(("itemsets".into(), Json::Array(itemsets)));
+                w.string("status", "ok");
+                w.string("dataset", &q.dataset);
+                w.number("epsilon_spent", q.epsilon_spent);
+                w.number("remaining_budget", q.remaining_budget);
+                w.count("seed", q.seed);
+                w.count("lambda", q.lambda);
+                w.count("candidate_count", q.candidate_count);
+                push_array(w.key("itemsets"), &q.itemsets, |out, row| {
+                    let mut obj = ObjectWriter::new(out);
+                    push_counts(obj.key("items"), row.items.iter().map(|&i| u64::from(i)));
+                    obj.number("count", row.count);
+                    obj.finish();
+                });
             }
             Response::Status(s) => {
-                fields.push(("status".into(), Json::String("ok".into())));
+                w.string("status", "ok");
                 if v >= 2 {
                     let info = s.server.unwrap_or(ServerInfo {
                         protocol_version: PROTOCOL_VERSION,
@@ -1205,38 +1193,22 @@ impl Response {
                         deadline_closed_total: 0,
                         audit: None,
                     });
-                    fields.push((
-                        "protocol_version".into(),
-                        Json::Number(info.protocol_version as f64),
-                    ));
-                    fields.push(("uptime_secs".into(), Json::Number(info.uptime_secs as f64)));
-                    fields.push((
-                        "requests_total".into(),
-                        Json::Number(info.requests_total as f64),
-                    ));
-                    fields.push((
-                        "rejected_total".into(),
-                        Json::Number(info.rejected_total as f64),
-                    ));
-                    fields.push(("shed_total".into(), Json::Number(info.shed_total as f64)));
-                    fields.push((
-                        "deadline_closed_total".into(),
-                        Json::Number(info.deadline_closed_total as f64),
-                    ));
+                    w.count("protocol_version", info.protocol_version as u64);
+                    w.count("uptime_secs", info.uptime_secs);
+                    w.count("requests_total", info.requests_total);
+                    w.count("rejected_total", info.rejected_total);
+                    w.count("shed_total", info.shed_total);
+                    w.count("deadline_closed_total", info.deadline_closed_total);
                     if let Some(audit) = info.audit {
-                        fields.push(("audit_released".into(), Json::Number(audit.released as f64)));
-                        fields.push(("audit_refused".into(), Json::Number(audit.refused as f64)));
-                        fields.push((
-                            "audit_failed_closed".into(),
-                            Json::Number(audit.failed_closed as f64),
-                        ));
+                        w.count("audit_released", audit.released);
+                        w.count("audit_refused", audit.refused);
+                        w.count("audit_failed_closed", audit.failed_closed);
                     }
                 }
-                let rows = s.datasets.iter().map(dataset_status_json).collect();
-                fields.push(("datasets".into(), Json::Array(rows)));
+                push_array(w.key("datasets"), &s.datasets, push_dataset_status);
             }
             Response::Admin(a) => {
-                fields.push(("status".into(), Json::String("ok".into())));
+                w.string("status", "ok");
                 match a {
                     AdminReply::Registered {
                         name,
@@ -1245,22 +1217,20 @@ impl Response {
                         durable,
                         epsilon_spent,
                     } => {
-                        fields.push(("registered".into(), Json::String(name.clone())));
-                        fields.push(("transactions".into(), Json::Number(*transactions as f64)));
-                        fields.push(("shards".into(), Json::Number(*shards as f64)));
-                        fields.push(("durable".into(), Json::Bool(*durable)));
-                        fields.push(("epsilon_spent".into(), Json::Number(*epsilon_spent)));
+                        w.string("registered", name);
+                        w.count("transactions", *transactions);
+                        w.count("shards", *shards);
+                        w.bool("durable", *durable);
+                        w.number("epsilon_spent", *epsilon_spent);
                     }
-                    AdminReply::Unregistered { name } => {
-                        fields.push(("unregistered".into(), Json::String(name.clone())));
-                    }
+                    AdminReply::Unregistered { name } => w.string("unregistered", name),
                     AdminReply::Resharded { name, shards } => {
-                        fields.push(("resharded".into(), Json::String(name.clone())));
-                        fields.push(("shards".into(), Json::Number(*shards as f64)));
+                        w.string("resharded", name);
+                        w.count("shards", *shards);
                     }
                     AdminReply::FaultsArmed { spec, armed } => {
-                        fields.push(("faults_armed".into(), Json::String(spec.clone())));
-                        fields.push(("armed".into(), Json::Number(*armed as f64)));
+                        w.string("faults_armed", spec);
+                        w.count("armed", *armed);
                     }
                     AdminReply::RegisteredLdp {
                         name,
@@ -1268,87 +1238,90 @@ impl Response {
                         shards,
                         params,
                     } => {
-                        fields.push(("registered_ldp".into(), Json::String(name.clone())));
-                        fields.push(("transactions".into(), Json::Number(*transactions as f64)));
-                        fields.push(("shards".into(), Json::Number(*shards as f64)));
-                        fields.push(("epsilon_local".into(), Json::Number(params.epsilon_local)));
-                        fields.push(("universe".into(), Json::Number(params.universe as f64)));
-                        fields.push(("pad".into(), Json::Number(params.pad as f64)));
+                        w.string("registered_ldp", name);
+                        w.count("transactions", *transactions);
+                        w.count("shards", *shards);
+                        w.number("epsilon_local", params.epsilon_local);
+                        w.count("universe", params.universe as u64);
+                        w.count("pad", params.pad);
                     }
-                    AdminReply::SnapshotEvery { every } => {
-                        fields.push(("snapshot_every".into(), Json::Number(*every as f64)));
-                    }
+                    AdminReply::SnapshotEvery { every } => w.count("snapshot_every", *every),
                     AdminReply::Consistency { name, enabled } => {
-                        fields.push(("consistency".into(), Json::String(name.clone())));
-                        fields.push(("enabled".into(), Json::Bool(*enabled)));
+                        w.string("consistency", name);
+                        w.bool("enabled", *enabled);
                     }
                 }
             }
             Response::ShardLoaded { key, rows } => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push(("loaded".into(), Json::String(key.clone())));
-                fields.push(("rows".into(), Json::Number(*rows as f64)));
+                w.string("status", "ok");
+                w.string("loaded", key);
+                w.count("rows", *rows);
             }
             Response::ShardCounts(counts) => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push((
-                    "counts".into(),
-                    Json::Array(counts.iter().map(|&c| Json::Number(c as f64)).collect()),
-                ));
+                w.string("status", "ok");
+                push_counts(w.key("counts"), counts.iter().copied());
             }
             Response::ShardHistograms(histograms) => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push((
-                    "histograms".into(),
-                    Json::Array(
-                        histograms
-                            .iter()
-                            .map(|hist| {
-                                Json::Array(hist.iter().map(|&c| Json::Number(c as f64)).collect())
-                            })
-                            .collect(),
-                    ),
-                ));
+                w.string("status", "ok");
+                push_array(w.key("histograms"), histograms, |out, hist| {
+                    push_counts(out, hist.iter().copied())
+                });
             }
             Response::Trace(trace) => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push(("trace_id".into(), Json::String(trace.id.clone())));
-                fields.push(("trace_op".into(), Json::String(trace.op.clone())));
-                fields.push(("dataset".into(), Json::String(trace.dataset.clone())));
-                fields.push(("outcome".into(), Json::String(trace.outcome.clone())));
-                fields.push(("total_us".into(), Json::Number(trace.total_us as f64)));
-                let spans = trace
-                    .spans
-                    .iter()
-                    .map(|span| {
-                        let mut fields = vec![
-                            ("name".into(), Json::String(span.name.clone())),
-                            ("start_us".into(), Json::Number(span.start_us as f64)),
-                            ("end_us".into(), Json::Number(span.end_us as f64)),
-                        ];
-                        if !span.attrs.is_empty() {
-                            fields.push((
-                                "attrs".into(),
-                                Json::Object(
-                                    span.attrs
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::String(v.clone())))
-                                        .collect(),
-                                ),
-                            ));
+                w.string("status", "ok");
+                w.string("trace_id", &trace.id);
+                w.string("trace_op", &trace.op);
+                w.string("dataset", &trace.dataset);
+                w.string("outcome", &trace.outcome);
+                w.count("total_us", trace.total_us);
+                push_array(w.key("spans"), &trace.spans, |out, span| {
+                    let mut obj = ObjectWriter::new(out);
+                    obj.string("name", &span.name);
+                    obj.count("start_us", span.start_us);
+                    obj.count("end_us", span.end_us);
+                    if !span.attrs.is_empty() {
+                        let mut attrs = ObjectWriter::new(obj.key("attrs"));
+                        for (k, v) in &span.attrs {
+                            attrs.string(k, v);
                         }
-                        Json::Object(fields)
-                    })
-                    .collect();
-                fields.push(("spans".into(), Json::Array(spans)));
+                        attrs.finish();
+                    }
+                    obj.finish();
+                });
             }
             Response::Perturbed { rows, seed } => {
-                fields.push(("status".into(), Json::String("ok".into())));
-                fields.push(("perturbed".into(), u32_rows_json(rows)));
-                fields.push(("seed".into(), Json::Number(*seed as f64)));
+                w.string("status", "ok");
+                push_array(w.key("perturbed"), rows, |out, row| {
+                    push_counts(out, row.iter().map(|&i| u64::from(i)))
+                });
+                w.count("seed", *seed);
             }
         }
-        Json::Object(fields).to_string()
+        w.finish();
+        out
+    }
+
+    /// A close upper estimate of the encoded length, so `encode` allocates once: a
+    /// fixed allowance for the envelope and scalar fields plus 12 bytes per list
+    /// number (up to 11 digits and a comma) and the keys of each row.
+    fn encoded_size_hint(&self, id: Option<&str>) -> usize {
+        let base = 160 + id.map_or(0, str::len);
+        base + match self {
+            Response::Error(e) => e.message.len(),
+            Response::Query(q) => {
+                q.dataset.len()
+                    + q.itemsets
+                        .iter()
+                        .map(|row| 40 + 12 * row.items.len())
+                        .sum::<usize>()
+            }
+            Response::Status(s) => 320 * s.datasets.len(),
+            Response::ShardCounts(counts) => 12 * counts.len(),
+            Response::ShardHistograms(h) => h.iter().map(|b| 2 + 12 * b.len()).sum(),
+            Response::Trace(t) => t.spans.iter().map(|s| 64 + 32 * s.attrs.len()).sum(),
+            Response::Perturbed { rows, .. } => rows.iter().map(|r| 2 + 12 * r.len()).sum(),
+            Response::Shutdown | Response::Admin(_) | Response::ShardLoaded { .. } => 0,
+        }
     }
 
     /// Parses one response line (either shape).
@@ -1559,45 +1532,36 @@ impl Response {
     }
 }
 
-fn dataset_status_json(d: &DatasetStatus) -> Json {
-    let mut fields = vec![
-        ("name".into(), Json::String(d.name.clone())),
-        ("transactions".into(), Json::Number(d.transactions as f64)),
-        ("items".into(), Json::Number(d.items as f64)),
-        ("index_cached".into(), Json::Bool(d.index_cached)),
-        ("durable".into(), Json::Bool(d.durable)),
-        ("epsilon_spent".into(), Json::Number(d.spent)),
-        ("remaining_budget".into(), Json::Number(d.remaining)),
-        ("queries".into(), Json::Number(d.queries as f64)),
-        ("shards".into(), Json::Number(d.shards as f64)),
-    ];
+/// Appends one dataset's status row.
+fn push_dataset_status(out: &mut String, d: &DatasetStatus) {
+    let mut w = ObjectWriter::new(out);
+    w.string("name", &d.name);
+    w.count("transactions", d.transactions);
+    w.count("items", d.items);
+    w.bool("index_cached", d.index_cached);
+    w.bool("durable", d.durable);
+    w.number("epsilon_spent", d.spent);
+    w.number("remaining_budget", d.remaining);
+    w.count("queries", d.queries);
+    w.count("shards", d.shards);
     // Only on LDP rows: central rows keep their frozen v1 bytes.
     if let Some(ldp) = d.ldp {
-        fields.push(("mode".into(), Json::String("ldp".into())));
-        fields.push(("epsilon_local".into(), Json::Number(ldp.epsilon_local)));
-        fields.push(("universe".into(), Json::Number(ldp.universe as f64)));
-        fields.push(("pad".into(), Json::Number(ldp.pad as f64)));
+        w.string("mode", "ldp");
+        w.number("epsilon_local", ldp.epsilon_local);
+        w.count("universe", ldp.universe as u64);
+        w.count("pad", ldp.pad);
     }
     if let Some(journal) = d.journal {
-        fields.push((
-            "journal_bytes".into(),
-            Json::Number(journal.wal_bytes as f64),
-        ));
-        fields.push((
-            "journal_records".into(),
-            Json::Number(journal.wal_records as f64),
-        ));
-        fields.push((
-            "snapshot_generation".into(),
-            Json::Number(journal.snapshot_generation as f64),
-        ));
+        w.count("journal_bytes", journal.wal_bytes);
+        w.count("journal_records", journal.wal_records);
+        w.count("snapshot_generation", journal.snapshot_generation);
     }
     // Only on the wire when true: healthy rows keep their frozen v1 bytes, and the
     // v1/v2 payload-identity guarantee holds in both states.
     if d.degraded {
-        fields.push(("degraded".into(), Json::Bool(true)));
+        w.bool("degraded", true);
     }
-    Json::Object(fields)
+    w.finish();
 }
 
 fn parse_trace_span(raw: &Json) -> Result<pb_trace::Span, String> {

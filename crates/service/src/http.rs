@@ -317,8 +317,14 @@ fn run_op(request: &HttpRequest, op_name: &str, ctx: &ServerCtx) -> (u16, &'stat
     ctx.requests_total.fetch_add(1, Ordering::Relaxed);
     let arrived_us = ctx.telemetry.now_us();
     let op = body_json(request).and_then(|body| Op::parse_fields(op_name, &body, PROTOCOL_VERSION));
-    let response = match op {
-        Err(e) => Response::Error(e),
+    let (status, encoded) = match op {
+        Err(e) => {
+            ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
+            (
+                e.code.http_status(),
+                Response::Error(e).encode(PROTOCOL_VERSION, None),
+            )
+        }
         // The gateway routes no shutdown op, so the shutdown flag can never be set
         // here; process control stays on the TCP surface. HTTP requests carry no
         // envelope id, so the trace id is always server-assigned here.
@@ -332,25 +338,23 @@ fn run_op(request: &HttpRequest, op_name: &str, ctx: &ServerCtx) -> (u16, &'stat
             );
             req.add_span(pb_trace::Span::new("parse", arrived_us, parsed_us));
             let response = execute(&op, request.bearer_token(), ctx, Some(&req)).0;
-            if let Response::Error(e) = &response {
-                req.set_outcome(format!("error:{}", e.code.as_str()));
-            }
+            let status = match &response {
+                Response::Error(e) => {
+                    ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
+                    req.set_outcome(format!("error:{}", e.code.as_str()));
+                    e.code.http_status()
+                }
+                _ => 200,
+            };
+            // Encoded inside the trace, as the TCP dispatch does.
+            let encode_started = req.now_us();
+            let encoded = response.encode(PROTOCOL_VERSION, None);
+            req.span_since("encode", encode_started);
             req.finish();
-            response
+            (status, encoded)
         }
     };
-    if response.is_error() {
-        ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
-    }
-    let status = match &response {
-        Response::Error(e) => e.code.http_status(),
-        _ => 200,
-    };
-    (
-        status,
-        "application/json",
-        response.encode(PROTOCOL_VERSION, None),
-    )
+    (status, "application/json", encoded)
 }
 
 /// The request body as a JSON object (an empty body counts as `{}`, so GET routes and

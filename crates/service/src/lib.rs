@@ -91,5 +91,7 @@ pub use persist::{
     DebitJournal, GroupFlush, JournalStats, LedgerState, Manifest, ManifestEntry, StateDir,
 };
 pub use protocol::{QueryRequest, MAX_QUERY_K};
-pub use registry::{DataSource, DatasetEntry, DatasetRegistry, Mode, RegisterSpec, RegistryError};
+pub use registry::{
+    DataSource, DatasetEntry, DatasetRegistry, Mode, RegisterSpec, RegistryError, SetupPhases,
+};
 pub use server::{PbServer, ServiceConfig};

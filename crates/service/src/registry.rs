@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
+use std::time::{Duration, Instant};
 
 /// Errors from registry operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,11 +232,26 @@ pub(crate) fn channel_params(channel: &LdpChannel) -> LdpParams {
     }
 }
 
+/// The wall-clock phases of building one [`DatasetEntry`], as `serve` prints them on
+/// its "registered" line: where a slow start went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SetupPhases {
+    /// Reading and parsing the source file (zero for in-process rows and reshards).
+    pub read: Duration,
+    /// Cutting the rows into shards (adopting them as one shard when unsharded).
+    pub partition: Duration,
+    /// Placing shards on remote workers: dialing each, shipping its rows and waiting
+    /// for its seal (zero when every shard is local).
+    pub placement: Duration,
+}
+
 /// One registered dataset: the data, its cached query context, and its privacy
 /// accounting (a budget ledger, or an LDP debiasing channel).
 #[derive(Debug)]
 pub struct DatasetEntry {
     name: String,
+    /// How long building this entry took, phase by phase.
+    setup: SetupPhases,
     /// The rows, held only as shards (one when unsharded): never beside a second copy,
     /// which would double resident row memory.
     data: Arc<ShardedDb>,
@@ -271,6 +287,11 @@ impl DatasetEntry {
     /// The dataset's registered name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// How long building this entry took, phase by phase.
+    pub fn setup(&self) -> SetupPhases {
+        self.setup
     }
 
     /// The source file path this dataset was registered (or recovered) from, when any.
@@ -689,9 +710,10 @@ impl DatasetRegistry {
         let db = TransactionDb::from_itemsets(rows);
         // Re-place onto the same workers the old layout used: a reshard changes how
         // many shards exist, never where the operator asked them to live.
-        let data = partition_data(db, shards, &old.workers, name)?;
+        let (data, setup) = partition_data(db, shards, &old.workers, name)?;
         let entry = Arc::new(DatasetEntry {
             name: old.name.clone(),
+            setup,
             data,
             transactions: old.transactions,
             distinct_items: old.distinct_items,
@@ -758,12 +780,13 @@ impl DatasetRegistry {
             workers,
             mode,
         } = spec;
-        let (db, source) = match source {
-            DataSource::Rows(db) => (db, None),
+        let (db, source, read) = match source {
+            DataSource::Rows(db) => (db, None, Duration::ZERO),
             DataSource::File(path) => {
+                let started = Instant::now();
                 let db = pb_fim::io::read_fimi_file(&path)
                     .map_err(|e| RegistryError::Source(format!("{path}: {e}")))?;
-                (db, Some(path))
+                (db, Some(path), started.elapsed())
             }
         };
         if db.is_empty() {
@@ -829,7 +852,8 @@ impl DatasetRegistry {
         // Partition — and, with a placement, dial and seed the remote workers — before
         // any durable side effect: a placement failure (dead worker, bad address) must
         // not leave a phantom manifest entry or a freshly opened journal behind.
-        let data = partition_data(db, shards, &workers, &name)?;
+        let (data, mut setup) = partition_data(db, shards, &workers, &name)?;
+        setup.read = read;
 
         let (mode, queries_served, journal) = match (&mode, &self.persistence) {
             (Mode::Central(total_epsilon), None) => (
@@ -986,6 +1010,7 @@ impl DatasetRegistry {
 
         let entry = Arc::new(DatasetEntry {
             name: name.clone(),
+            setup,
             data,
             transactions,
             distinct_items,
@@ -1198,22 +1223,29 @@ impl DatasetRegistry {
 /// Partitions `db` into `shards` row shards and, when a placement is given, dials and
 /// seeds the remote workers (shard `i` → `workers[i]`, remaining shards local).
 /// Placement is a pure execution knob — released bytes are identical for local,
-/// remote, and mixed layouts.
+/// remote, and mixed layouts. Returns the shards with the partition and placement
+/// phases timed; the read phase is left to the caller.
 fn partition_data(
     db: TransactionDb,
     shards: usize,
     workers: &[String],
     name: &str,
-) -> Result<Arc<ShardedDb>, RegistryError> {
+) -> Result<(Arc<ShardedDb>, SetupPhases), RegistryError> {
     // One shard adopts the rows as they are; more shards copy them into contiguous
     // blocks and the source is dropped.
+    let started = Instant::now();
     let sharded = match shards {
         1 => ShardedDb::from_shards(vec![db]),
         _ => ShardedDb::partition(&db, shards),
     };
+    let mut setup = SetupPhases {
+        partition: started.elapsed(),
+        ..SetupPhases::default()
+    };
     if workers.is_empty() {
-        return Ok(Arc::new(sharded));
+        return Ok((Arc::new(sharded), setup));
     }
+    let started = Instant::now();
     let mut addrs = Vec::with_capacity(workers.len());
     for worker in workers {
         let addr = worker
@@ -1236,7 +1268,8 @@ fn partition_data(
             "shard worker placement for dataset `{name}` failed: {e}"
         ))
     })?;
-    Ok(Arc::new(sharded))
+    setup.placement = started.elapsed();
+    Ok((Arc::new(sharded), setup))
 }
 
 fn epsilon_text(epsilon: Epsilon) -> String {
@@ -1347,6 +1380,34 @@ mod tests {
         assert!(RegistryError::Io("disk".into())
             .to_string()
             .contains("disk"));
+    }
+
+    #[test]
+    fn registration_reports_its_setup_phases() {
+        let scratch = Scratch::new("setup");
+        let path = scratch.write_fimi("d.dat", "1 2\n1 2 3\n2 3\n4\n");
+        let registry = DatasetRegistry::new();
+        let entry = registry
+            .register_spec(RegisterSpec {
+                shards: Some(2),
+                ..RegisterSpec::central("d", DataSource::File(path), Epsilon::Finite(1.0))
+            })
+            .unwrap();
+        let setup = entry.setup();
+        assert!(setup.read > Duration::ZERO, "{setup:?}");
+        assert!(setup.partition > Duration::ZERO, "{setup:?}");
+        // Every shard is local: nothing was placed.
+        assert_eq!(setup.placement, Duration::ZERO, "{setup:?}");
+
+        // In-process rows are not read; a reshard times its own partition.
+        let inline = registry
+            .register_sharded("inline", tiny_db(), Epsilon::Finite(1.0), 1)
+            .unwrap();
+        assert_eq!(inline.setup().read, Duration::ZERO);
+        let resharded = registry.reshard("inline", 3).unwrap();
+        assert_eq!(resharded.setup().read, Duration::ZERO);
+        assert!(resharded.setup().partition > Duration::ZERO);
+        assert_eq!(resharded.setup().placement, Duration::ZERO);
     }
 
     #[test]

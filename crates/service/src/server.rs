@@ -1022,7 +1022,7 @@ fn run_query(query: &QueryRequest, ctx: &ServerCtx, trace: Option<&ReqTrace>) ->
     // from the central path's, not re-proven.
     let n = entry.transactions() as u64;
     let debias = ldp.map(|channel| {
-        move |itemset: &pb_fim::ItemSet, observed: f64| channel.debias(observed, n, itemset.len())
+        move |items: &[pb_fim::Item], observed: f64| channel.debias(observed, n, items.len())
     });
     let bridge = trace.map(|req| PhaseBridge { req });
     let observer: &dyn PhaseObserver = match &bridge {

@@ -24,7 +24,7 @@ use pb_fim::pairs::num_pairs;
 use pb_fim::{ItemSet, TransactionDb, VerticalIndex};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Upper bound on the summed bin count (`Σ 2^|B|`) of one `shard_histograms` request:
 /// 16Mi bins ≈ 128 MiB of `u64`s at the absolute worst. Each basis is already capped
@@ -36,11 +36,9 @@ pub(crate) const MAX_TOTAL_BINS: usize = 1 << 24;
 pub(crate) enum WorkerShard {
     /// `shard_load` chunks accumulate here until the sealing chunk arrives.
     Loading(Vec<ItemSet>),
-    /// Sealed: indexed and serving count ops. Re-seeding requires `reset: true`.
-    Sealed {
-        db: Arc<TransactionDb>,
-        index: Arc<VerticalIndex>,
-    },
+    /// Sealed: indexed and serving count ops. Re-seeding requires `reset: true`. The
+    /// index answers every count op, so the rows are dropped once it is built.
+    Sealed(Arc<VerticalIndex>),
 }
 
 /// The worker's shard table, keyed by the coordinator-chosen shard key.
@@ -48,7 +46,11 @@ pub(crate) type ShardStore = BTreeMap<String, WorkerShard>;
 
 /// Serves one shard op against the worker's shard store. Only called when
 /// [`Op::is_shard_op`] holds and the server runs in worker mode.
-pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Response {
+///
+/// `shard_load` runs under the store lock. A count op holds it only to take the
+/// sealed shard's index (see [`with_sealed`]), so two legs of one query whose shards
+/// sit on this worker count at the same time.
+pub(crate) fn run_shard_op(op: &Op, store: &Mutex<ShardStore>) -> Response {
     // The chaos seam for the worker side of the fabric: an armed `fabric.serve`
     // plan fails requests here, which the coordinator observes as a transport
     // error and accounts as a fabric failure (failing the query closed).
@@ -58,17 +60,14 @@ pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Res
             format!("injected fault at fabric.serve: {e}"),
         ));
     }
-    let mut store = store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     match op {
         Op::ShardLoad {
             key,
             rows,
             reset,
             seal,
-        } => shard_load(&mut store, key, rows, *reset, *seal),
-        Op::ShardSupports { key, itemsets } => with_sealed(&store, key, |_, index| {
+        } => shard_load(&mut lock(store), key, rows, *reset, *seal),
+        Op::ShardSupports { key, itemsets } => with_sealed(store, key, |index| {
             let sets: Vec<ItemSet> = itemsets.iter().map(|s| ItemSet::new(s.clone())).collect();
             Response::ShardCounts(
                 index
@@ -78,7 +77,7 @@ pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Res
                     .collect(),
             )
         }),
-        Op::ShardPairs { key, items } => with_sealed(&store, key, |_, index| {
+        Op::ShardPairs { key, items } => with_sealed(store, key, |index| {
             // One count per unordered pair in *request order* (i < j), zeros
             // included: the coordinator merges these positionally across shards. A
             // sorted, repeat-free request (what the coordinator sends) is already the
@@ -114,7 +113,7 @@ pub(crate) fn run_shard_op(op: &Op, store: &std::sync::Mutex<ShardStore>) -> Res
                      the per-request cap is {MAX_TOTAL_BINS}"
                 )));
             }
-            with_sealed(&store, key, |_, index| {
+            with_sealed(store, key, |index| {
                 let sets: Vec<ItemSet> = bases.iter().map(|b| ItemSet::new(b.clone())).collect();
                 Response::ShardHistograms(
                     index.bin_histograms(&sets, pb_fim::index::available_parallelism()),
@@ -163,10 +162,9 @@ fn shard_load(
     buffer.extend(rows.iter().map(|r| ItemSet::new(r.clone())));
     let total = buffer.len() as u64;
     if seal {
-        let rows = std::mem::take(buffer);
-        let db = Arc::new(TransactionDb::from_itemsets(rows));
+        let db = TransactionDb::from_itemsets(std::mem::take(buffer));
         let index = Arc::new(VerticalIndex::build(&db));
-        store.insert(key.to_string(), WorkerShard::Sealed { db, index });
+        store.insert(key.to_string(), WorkerShard::Sealed(index));
     }
     Response::ShardLoaded {
         key: key.to_string(),
@@ -174,32 +172,44 @@ fn shard_load(
     }
 }
 
+fn lock(store: &Mutex<ShardStore>) -> MutexGuard<'_, ShardStore> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `f` against the sealed shard under `key`, with the structured refusals the
 /// coordinator's recovery path keys on: `unknown_dataset` for an absent key (a
 /// restarted worker — the coordinator re-seeds transparently), `unavailable` for a
 /// shard still loading.
+///
+/// The store lock is held only while the shard's index `Arc` is cloned; `f` counts
+/// with the lock released. A re-seed meanwhile replaces the entry, not the index
+/// this count holds.
 fn with_sealed(
-    store: &ShardStore,
+    store: &Mutex<ShardStore>,
     key: &str,
-    f: impl FnOnce(&TransactionDb, &VerticalIndex) -> Response,
+    f: impl FnOnce(&VerticalIndex) -> Response,
 ) -> Response {
-    match store.get(key) {
-        None => Response::Error(WireError::new(
-            ErrorCode::UnknownDataset,
-            format!("no shard loaded under key {key:?}"),
-        )),
-        Some(WorkerShard::Loading(_)) => Response::Error(WireError::new(
-            ErrorCode::Unavailable,
-            format!("shard {key:?} is still loading (not sealed)"),
-        )),
-        Some(WorkerShard::Sealed { db, index }) => f(db, index),
-    }
+    let index = match lock(store).get(key) {
+        None => {
+            return Response::Error(WireError::new(
+                ErrorCode::UnknownDataset,
+                format!("no shard loaded under key {key:?}"),
+            ))
+        }
+        Some(WorkerShard::Loading(_)) => {
+            return Response::Error(WireError::new(
+                ErrorCode::Unavailable,
+                format!("shard {key:?} is still loading (not sealed)"),
+            ))
+        }
+        Some(WorkerShard::Sealed(index)) => Arc::clone(index),
+    };
+    f(&index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     fn op_pairs(items: &[u32]) -> Op {
         Op::ShardPairs {
@@ -245,6 +255,78 @@ mod tests {
         let flat = VerticalIndex::build(&db).pair_counts(&ItemSet::new(vec![0, 1, 2, 4]));
         let flat: Vec<u64> = flat.counts().iter().map(|&c| c as u64).collect();
         assert_eq!(sorted, Response::ShardCounts(flat));
+    }
+
+    fn load(store: &Mutex<ShardStore>, key: &str, rows: &[Vec<u32>]) {
+        let op = Op::ShardLoad {
+            key: key.into(),
+            rows: rows.to_vec(),
+            reset: true,
+            seal: true,
+        };
+        assert!(matches!(
+            run_shard_op(&op, store),
+            Response::ShardLoaded { .. }
+        ));
+    }
+
+    #[test]
+    fn count_ops_on_two_keys_of_one_store_run_concurrently() {
+        // Two shards on one worker, as when S=4 shards sit on 2 workers: one thread
+        // asks for histograms on one key while another asks for pair counts on the
+        // other, over and over. Both must answer exactly, every time.
+        let rows_a: Vec<Vec<u32>> = (0..3000u32)
+            .map(|t| (0..12).filter(|j| (t * 7 + j) % (j + 2) == 0).collect())
+            .collect();
+        let rows_b: Vec<Vec<u32>> = (0..2000u32)
+            .map(|t| (0..12).filter(|j| (t * 5 + j) % (j + 3) < 2).collect())
+            .collect();
+        let store = Mutex::new(ShardStore::new());
+        load(&store, "a", &rows_a);
+        load(&store, "b", &rows_b);
+
+        let bases = vec![vec![0, 1, 2, 3, 4, 5, 6, 7, 8], vec![3, 9, 10, 11]];
+        let db_a = TransactionDb::from_transactions(rows_a);
+        let sets: Vec<ItemSet> = bases.iter().map(|b| ItemSet::new(b.clone())).collect();
+        let expected_hists =
+            Response::ShardHistograms(VerticalIndex::build(&db_a).bin_histograms_swept(&sets, 1));
+        let items: Vec<u32> = (0..12).collect();
+        let db_b = TransactionDb::from_transactions(rows_b);
+        let scanned = db_b.pair_counts(&ItemSet::new(items.clone()));
+        let mut expected_pairs = Vec::new();
+        for (i, &x) in items.iter().enumerate() {
+            for &y in &items[i + 1..] {
+                expected_pairs.push(scanned.get(&(x, y)).copied().unwrap_or(0) as u64);
+            }
+        }
+        let expected_pairs = Response::ShardCounts(expected_pairs);
+
+        let histograms = Op::ShardHistograms {
+            key: "a".into(),
+            bases,
+        };
+        let pairs = Op::ShardPairs {
+            key: "b".into(),
+            items,
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                (0..50)
+                    .map(|_| run_shard_op(&histograms, &store))
+                    .collect::<Vec<_>>()
+            });
+            let b = scope.spawn(|| {
+                (0..50)
+                    .map(|_| run_shard_op(&pairs, &store))
+                    .collect::<Vec<_>>()
+            });
+            for reply in a.join().unwrap() {
+                assert_eq!(reply, expected_hists);
+            }
+            for reply in b.join().unwrap() {
+                assert_eq!(reply, expected_pairs);
+            }
+        });
     }
 
     const PINNED_REPLY: &str =

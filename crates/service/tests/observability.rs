@@ -122,6 +122,25 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     );
     assert!(body.contains(r#""name":"noise_draw""#), "{body}");
 
+    // An HTTP query is traced under a server-assigned `s<N>` id, and its encode runs
+    // inside the trace: the newest traced query carries an `encode` span.
+    let (status, body) = http_request(
+        http_addr,
+        "POST",
+        "/v1/query",
+        r#"{"dataset":"d","k":5,"epsilon":2.0,"seed":9}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(release(&body), release(&v1));
+    let http_trace = (0..64)
+        .rev()
+        .find_map(|n| {
+            let (status, body) = http_request(http_addr, "GET", &format!("/v1/trace/s{n}"), "");
+            (status == 200 && body.contains(r#""trace_op":"query""#)).then_some(body)
+        })
+        .expect("the HTTP query left a trace");
+    assert!(http_trace.contains(r#""name":"encode""#), "{http_trace}");
+
     // Unknown ids fail with a structured error, not an empty 200.
     let (status, body) = http_request(http_addr, "GET", "/v1/trace/never-was", "");
     assert_eq!(status, 503, "{body}");
@@ -135,7 +154,8 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     for family in [
         "pb_request_duration_seconds_bucket{op=\"query\",le=\"",
         "pb_stage_duration_seconds_bucket{stage=\"noise_draw\",le=\"",
-        "pb_audit_released_total 2",
+        "pb_stage_duration_seconds_bucket{stage=\"encode\",le=\"",
+        "pb_audit_released_total 3",
         "pb_audit_wedged 0",
     ] {
         assert!(
@@ -148,7 +168,7 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     let status = client.status().unwrap();
     let info = status.server.expect("v2 status carries server info");
     let audit = info.audit.expect("audit tallies");
-    assert_eq!(audit.released, 2);
+    assert_eq!(audit.released, 3);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

@@ -105,7 +105,7 @@ fn placements_release_identically() {
     for shards in 1..=4usize {
         for placed in 0..=shards {
             let name = unique(&format!("placement-s{shards}p{placed}"));
-            registry
+            let entry = registry
                 .register_spec(RegisterSpec {
                     shards: Some(shards),
                     workers: vec![worker.to_string(); placed],
@@ -116,6 +116,13 @@ fn placements_release_identically() {
                     )
                 })
                 .unwrap();
+            // Placement is timed only when a shard was shipped to a worker.
+            assert_eq!(
+                entry.setup().placement > std::time::Duration::ZERO,
+                placed > 0,
+                "{:?} at shards={shards} placed={placed}",
+                entry.setup()
+            );
             let reply = client.query(&name, 4, 0.4, Some(41)).unwrap();
             assert_eq!(
                 reply.itemsets, reference.itemsets,

@@ -64,7 +64,8 @@ fn main() {
     // debits no ledger: the privacy was already spent on the client, so the
     // release is deterministic given the reports.
     let context = QueryContext::new(Arc::new(perturbed));
-    let debias = |itemset: &ItemSet, observed: f64| channel.debias(observed, n, itemset.len());
+    let debias =
+        |items: &[privbasis::fim::Item], observed: f64| channel.debias(observed, n, items.len());
     let out = PrivBasis::with_defaults()
         .run_shared_transformed(
             &mut rng,

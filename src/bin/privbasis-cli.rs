@@ -592,8 +592,10 @@ fn serve(options: &ServeOptions) -> Result<(), String> {
                 ..RegisterSpec::central(name.clone(), DataSource::File(path.clone()), total)
             })
             .map_err(|e| e.to_string())?;
+        let setup = entry.setup();
         eprintln!(
-            "registered `{name}`: {} transactions over {} items, budget ε = {}{}{}{}",
+            "registered `{name}`: {} transactions over {} items, budget ε = {}{}{}{}; \
+             set-up: read {:.1} ms, partition {:.1} ms, placement {:.1} ms",
             entry.transactions(),
             entry.num_distinct_items(),
             options.budget,
@@ -611,6 +613,9 @@ fn serve(options: &ServeOptions) -> Result<(), String> {
                     entry.workers().len().min(entry.shards())
                 )
             },
+            setup.read.as_secs_f64() * 1e3,
+            setup.partition.as_secs_f64() * 1e3,
+            setup.placement.as_secs_f64() * 1e3,
         );
     }
     // Then reload everything else the manifest remembers, so a restart recovers spent ε
@@ -1101,7 +1106,8 @@ fn run_ldp(
     let perturbed = TransactionDb::from_transactions(channel.perturb_rows(&mut rng, &rows));
     let n = perturbed.len() as u64;
     let context = QueryContext::new(Arc::new(perturbed));
-    let debias = move |itemset: &ItemSet, observed: f64| channel.debias(observed, n, itemset.len());
+    let debias =
+        move |items: &[pb_fim::Item], observed: f64| channel.debias(observed, n, items.len());
     let params = PrivBasisParams {
         consistency: if no_consistency {
             None
