@@ -20,73 +20,9 @@ use crate::params::{PrivBasisParams, SelectionScale};
 use pb_dp::exponential_mechanism;
 use pb_dp::{sample_without_replacement, DpError, Epsilon, ExponentialScale, PrivacyBudget};
 use pb_fim::itemset::{Item, ItemSet};
-use pb_fim::topk::top_k_itemsets;
-use pb_fim::{PairCounts, TransactionDb, VerticalIndex};
+use pb_fim::{PairCounts, TransactionDb};
 use pb_shard::ShardedDb;
 use rand::Rng;
-
-/// The counting engine one run executes against. Which variant is in play never changes
-/// the released bytes (both produce identical exact counts and consume the same noise
-/// stream); it only changes *where* the counting work happens.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Engine<'a> {
-    /// A one-shot run over a bare database: counting happens on a per-run index
-    /// restricted to the selected items, so memory stays `O(λ·N/64)` words however
-    /// wide the item universe is — a full per-item index of a kosarak- or AOL-sized
-    /// universe would not fit.
-    Local {
-        /// The database.
-        db: &'a TransactionDb,
-    },
-    /// A row-sharded database (one shard when unsharded) with full per-shard indexes:
-    /// every count fans out across shards and merges by summation before any noise
-    /// touches it.
-    Sharded(&'a ShardedDb),
-}
-
-impl<'a> Engine<'a> {
-    fn num_transactions(&self) -> usize {
-        match self {
-            Engine::Local { db } => db.len(),
-            Engine::Sharded(s) => s.num_transactions(),
-        }
-    }
-
-    /// Binds the engine to one run's selected items: the local engine builds its
-    /// restricted index here, the sharded one counts on the indexes it already owns.
-    fn counter(self, frequent_items: &ItemSet) -> Counter<'a> {
-        match self {
-            Engine::Local { db } => {
-                Counter::Restricted(VerticalIndex::build_restricted(db, frequent_items))
-            }
-            Engine::Sharded(s) => Counter::Sharded(s),
-        }
-    }
-}
-
-/// An [`Engine`] bound to one run's selected items (see [`Engine::counter`]).
-enum Counter<'a> {
-    Restricted(VerticalIndex),
-    Sharded(&'a ShardedDb),
-}
-
-impl Counter<'_> {
-    fn pair_counts(&self, items: &ItemSet) -> PairCounts {
-        match self {
-            Counter::Restricted(index) => index.pair_counts(items),
-            Counter::Sharded(s) => s.pair_counts(items),
-        }
-    }
-
-    fn bin_histograms(&self, bases: &[ItemSet]) -> Vec<Vec<u64>> {
-        match self {
-            Counter::Restricted(index) => {
-                index.bin_histograms(bases, pb_fim::index::available_parallelism())
-            }
-            Counter::Sharded(s) => s.bin_histograms(bases),
-        }
-    }
-}
 
 /// Errors returned by [`PrivBasis::run`].
 #[derive(Debug, Clone, PartialEq)]
@@ -177,11 +113,11 @@ impl PrivBasis {
 
     /// Publishes the top-`k` frequent itemsets of `db` under `epsilon`-differential privacy.
     ///
-    /// A one-shot run: the item ranking and the θ anchor are computed here and counting
-    /// happens on a per-run index over the selected items only. Serving layers that
-    /// answer many queries against one dataset build a
-    /// [`QueryContext`](crate::context::QueryContext) once and call
-    /// [`PrivBasis::run_shared`] instead — byte-identical for the same seed.
+    /// A one-shot run: [`PrivBasis::run_shared`] on a one-shard
+    /// [`QueryContext`](crate::context::QueryContext) over a copy of `db`'s rows, built
+    /// and dropped here. Callers that run many queries against one dataset build the
+    /// context once and call [`PrivBasis::run_shared`] directly — the same bytes for the
+    /// same seed, without re-indexing or re-mining θ per run.
     pub fn run<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -189,19 +125,8 @@ impl PrivBasis {
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        // Items sorted by descending frequency; reused by steps 1 and 2. One row scan —
-        // cheaper than any index for a single pass over every item.
-        let items_by_freq = db.items_by_frequency();
-        self.run_pipeline(
-            rng,
-            Engine::Local { db },
-            &items_by_freq,
-            |k1| theta_count_direct(db, k1),
-            k,
-            epsilon,
-            None,
-            &NoopObserver,
-        )
+        let context = crate::context::QueryContext::new(db.clone().into_shared());
+        self.run_shared(rng, &context, k, epsilon)
     }
 
     /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext): the
@@ -211,10 +136,10 @@ impl PrivBasis {
     ///
     /// Every exact count — item supports, pair supports, θ-candidate supports, and the
     /// `BasisFreq` bin histograms — is computed per shard and merged by summation, and
-    /// the Laplace noise is drawn once, on the merged histograms, in the same fixed
-    /// order as the one-shot engine. For a fixed seed the output is byte-identical to
-    /// [`PrivBasis::run`] on the context's rows, for **any** shard count
-    /// (property-tested in `tests/proptest_sharded.rs`).
+    /// the Laplace noise is drawn once, on the merged histograms, in one fixed order.
+    /// For a fixed seed the output is byte-identical to [`PrivBasis::run`] on the
+    /// context's rows, for **any** shard count (property-tested in
+    /// `tests/proptest_sharded.rs`).
     pub fn run_shared<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -260,41 +185,15 @@ impl PrivBasis {
         transform: Option<CountTransform<'_>>,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.run_pipeline(
-            rng,
-            context.engine(),
-            context.items_by_frequency(),
-            |k1| context.theta_count(k1),
-            k,
-            epsilon,
-            transform,
-            obs,
-        )
-    }
-
-    /// The shared body of the `run*` entry points. `theta_for` supplies the exact
-    /// support count of the `k1`-th itemset (memoized by serving layers — the dominant
-    /// per-query cost on large databases); `engine` decides where the exact counting
-    /// happens without changing a single released bit.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipeline<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        engine: Engine<'_>,
-        items_by_freq: &[(Item, usize)],
-        theta_for: impl FnOnce(usize) -> f64,
-        k: usize,
-        epsilon: Epsilon,
-        transform: Option<CountTransform<'_>>,
-        obs: &dyn PhaseObserver,
-    ) -> Result<PrivBasisOutput, PrivBasisError> {
         self.params
             .validate()
             .map_err(PrivBasisError::InvalidParams)?;
         if k == 0 {
             return Err(PrivBasisError::InvalidK);
         }
-        let n = engine.num_transactions();
+        let sharded = context.shards();
+        let n = sharded.num_transactions();
+        let items_by_freq = sharded.items_by_frequency();
         if n == 0 || items_by_freq.is_empty() {
             return Err(PrivBasisError::EmptyDatabase);
         }
@@ -310,7 +209,9 @@ impl PrivBasis {
         let t_lambda = obs.now();
         let eta = self.params.eta_for(k);
         let k1 = ((k as f64 * eta).ceil() as usize).max(1);
-        let theta = theta_for(k1) / n as f64;
+        // θ is a deterministic function of the data and k1, memoized by the context —
+        // on large databases this non-private mining pass dominates a cold query.
+        let theta = context.theta_count(k1) / n as f64;
         let lambda = get_lambda(rng, n, items_by_freq, theta, eps_lambda)?;
         let lambda = lambda.clamp(1, items_by_freq.len());
         obs.phase("lambda", t_lambda, obs.now());
@@ -321,9 +222,8 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_select)?;
             obs.phase("select_items", t_items, obs.now());
-            let counter = engine.counter(&frequent_items);
             let basis_set = BasisSet::single(frequent_items.clone());
-            let counts = self.count_bases(rng, &counter, n, &basis_set, eps_counts, transform, obs);
+            let counts = self.count_bases(rng, sharded, n, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -350,14 +250,12 @@ impl PrivBasis {
             let frequent_items =
                 self.select_frequent_items(rng, n, items_by_freq, lambda, eps_items)?;
             obs.phase("select_items", t_items, obs.now());
-            let counter = engine.counter(&frequent_items);
 
             let t_pairs = obs.now();
             let frequent_pairs = match eps_pairs {
                 Some(eps_pairs) if frequent_items.len() >= 2 => {
-                    // Exact pair supports from whichever engine is counting: the
-                    // restricted index or the per-shard merge — identical integers.
-                    let pair_counts = counter.pair_counts(&frequent_items);
+                    // Exact pair supports, counted per shard and merged by summation.
+                    let pair_counts = sharded.pair_counts(&frequent_items);
                     self.select_frequent_pairs(rng, n, &pair_counts, lambda2, eps_pairs)?
                 }
                 _ => Vec::new(),
@@ -368,7 +266,7 @@ impl PrivBasis {
             let basis_set =
                 construct_basis_set(&frequent_items, &frequent_pairs, self.params.max_basis_len);
             obs.phase("construct", t_construct, obs.now());
-            let counts = self.count_bases(rng, &counter, n, &basis_set, eps_counts, transform, obs);
+            let counts = self.count_bases(rng, sharded, n, &basis_set, eps_counts, transform, obs);
             Ok(PrivBasisOutput {
                 itemsets: counts.top_k(k),
                 lambda,
@@ -381,16 +279,15 @@ impl PrivBasis {
         }
     }
 
-    /// Step 5: BasisFreq on the run's counter, followed by the (budget-free)
+    /// Step 5: BasisFreq on the context's shards, followed by the (budget-free)
     /// consistency post-processing when `params.consistency` is set, then the optional
-    /// [`CountTransform`] (the LDP debias). Identical output on either counter for a
-    /// fixed seed: both produce the same exact counts, consume the same noise stream,
-    /// and both post-passes are deterministic.
+    /// [`CountTransform`] (the LDP debias). Both post-passes are deterministic, so the
+    /// release depends on the seed and the data alone.
     #[allow(clippy::too_many_arguments)]
     fn count_bases<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        counter: &Counter<'_>,
+        sharded: &ShardedDb,
         n: usize,
         basis_set: &BasisSet,
         eps: Epsilon,
@@ -406,7 +303,7 @@ impl PrivBasis {
         let merge_window = std::cell::Cell::new((t_call, t_call));
         let mut counts = basis_freq_counts_with_histograms(rng, basis_set, eps, |bases| {
             let t = obs.now();
-            let hists = counter.bin_histograms(bases);
+            let hists = sharded.bin_histograms(bases);
             merge_window.set((t, obs.now()));
             hists
         });
@@ -456,7 +353,7 @@ impl PrivBasis {
     }
 
     /// Step 3: select `lambda2` pairs among the selected items (`GetFreqElements` on
-    /// pairs), given their exact supports from the counting engine.
+    /// pairs), given their exact supports.
     fn select_frequent_pairs<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -517,20 +414,6 @@ impl PrivBasis {
     }
 }
 
-/// The exact support count of the `k1`-th most frequent itemset (or of the rarest one
-/// when fewer than `k1` exist) — the θ anchor of step 1. A deterministic function of the
-/// data, so serving layers memoize it per `(dataset, k1)` via
-/// [`QueryContext`](crate::context::QueryContext); on large databases this non-private
-/// mining pass dominates the per-query cost.
-pub(crate) fn theta_count_direct(db: &TransactionDb, k1: usize) -> f64 {
-    let top = top_k_itemsets(db, k1, None);
-    if top.len() >= k1 {
-        top[k1 - 1].count as f64
-    } else {
-        top.last().map(|f| f.count as f64).unwrap_or(0.0)
-    }
-}
-
 /// Step 1 — `GetLambda`: sample the item rank whose frequency is closest to `theta`, the
 /// frequency of the (η·k)-th most frequent itemset. The quality of rank `j` is
 /// `(1 − |f_itemⱼ − θ|)·N` (sensitivity 1); the paper keeps the standard `ε/2` exponent.
@@ -554,6 +437,7 @@ fn get_lambda<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pb_fim::topk::top_k_itemsets;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -773,43 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_full_index_is_byte_identical_to_per_query_build() {
-        // The serving path counts against one full per-item index built once per dataset
-        // (a 1-shard context); the one-shot run builds a restricted index per query.
-        // Neither may change a single bit of the release.
-        let pb = PrivBasis::with_defaults();
-        for (db, k) in [(dense_db(2_500), 6usize), (sparse_db(3_000), 25)] {
-            let db = std::sync::Arc::new(db);
-            let context = crate::context::QueryContext::new(std::sync::Arc::clone(&db));
-            for seed in [0u64, 3, 9] {
-                let a = pb
-                    .run(
-                        &mut StdRng::seed_from_u64(seed),
-                        &db,
-                        k,
-                        Epsilon::Finite(0.8),
-                    )
-                    .unwrap();
-                let b = pb
-                    .run_shared(
-                        &mut StdRng::seed_from_u64(seed),
-                        &context,
-                        k,
-                        Epsilon::Finite(0.8),
-                    )
-                    .unwrap();
-                assert_eq!(a.lambda, b.lambda);
-                assert_eq!(a.basis_set, b.basis_set);
-                assert_eq!(a.itemsets.len(), b.itemsets.len());
-                for ((sa, ca), (sb, cb)) in a.itemsets.iter().zip(&b.itemsets) {
-                    assert_eq!(sa, sb);
-                    assert_eq!(ca.to_bits(), cb.to_bits(), "counts differ for {sa:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_runs_are_byte_identical_for_any_shard_count() {
         // The acceptance invariant of the sharded engine: a pinned seed releases the
         // same bytes whatever the shard count, on both the single-basis (dense) and
@@ -857,8 +704,8 @@ mod tests {
         let db = dense_db(5_000);
         let items = db.items_by_frequency();
         let mut rng = StdRng::seed_from_u64(10);
-        // k = 5, η = 1.1 ⇒ k1 = 6, as run_pipeline would compute it.
-        let theta = theta_count_direct(&db, 6) / db.len() as f64;
+        // k = 5, η = 1.1 ⇒ k1 = 6, as run_shared_transformed would compute it.
+        let theta = top_k_itemsets(&db, 6, None)[5].count as f64 / db.len() as f64;
         let lambda = get_lambda(&mut rng, db.len(), &items, theta, Epsilon::Infinite).unwrap();
         assert!(lambda >= 1 && lambda <= items.len());
         // Top-5·1.1 itemsets in this dense database involve only the first handful of items,

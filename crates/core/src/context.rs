@@ -3,11 +3,13 @@
 //! One PrivBasis query interleaves private mechanisms with *deterministic* functions of
 //! the data: the full item-frequency ranking (steps 1–2), the θ anchor — the support of
 //! the (η·k)-th most frequent itemset (step 1) — and the index structures the counting
-//! kernels run on. A one-shot CLI run recomputes all of them; a query service answering
-//! many queries against the same dataset should not, because on large databases the θ
-//! mining pass alone dominates the per-query cost (see the `service/cached_vs_cold_index`
-//! benchmark). [`QueryContext`] bundles that precomputation behind cheap shared
-//! references so [`PrivBasis::run_shared`](crate::PrivBasis::run_shared) can skip it.
+//! kernels run on. [`QueryContext`] bundles that precomputation behind cheap shared
+//! references, and every run goes through it: [`PrivBasis::run`](crate::PrivBasis::run)
+//! builds a one-shard context for one query and drops it, while a query service (or an
+//! experiment sweep) builds one per dataset and calls
+//! [`PrivBasis::run_shared`](crate::PrivBasis::run_shared) for every query, because on
+//! large databases the θ mining pass alone dominates a cold query (see the
+//! `service/cached_vs_cold_index` benchmark).
 //!
 //! Every context counts over a row-partitioned [`ShardedDb`]; an unsharded dataset is
 //! simply one shard ([`QueryContext::new`]). Counting fans out across the shards and
@@ -20,7 +22,6 @@
 //! query's ε accounting is unchanged — byte-identically so, which
 //! `shared_context_is_byte_identical_to_run` asserts.
 
-use crate::algorithm::Engine;
 use pb_fim::itemset::Item;
 use pb_fim::TransactionDb;
 use pb_shard::ShardedDb;
@@ -83,9 +84,9 @@ impl QueryContext {
         self.sharded.items_by_frequency()
     }
 
-    /// The counting engine `run_shared` hands to the pipeline.
-    pub(crate) fn engine(&self) -> Engine<'_> {
-        Engine::Sharded(&self.sharded)
+    /// The rows the pipeline counts on.
+    pub(crate) fn shards(&self) -> &ShardedDb {
+        &self.sharded
     }
 
     /// The θ support count for one `k1`, mined on first use.
@@ -123,6 +124,7 @@ mod tests {
     use super::*;
     use crate::PrivBasis;
     use pb_dp::Epsilon;
+    use pb_fim::topk::top_k_itemsets;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -134,6 +136,15 @@ mod tests {
             rows.push(row);
         }
         TransactionDb::from_transactions(rows).into_shared()
+    }
+
+    /// The θ oracle: the support of the `k1`-th itemset by fpgrowth over the whole
+    /// database (the rarest one when fewer than `k1` exist).
+    fn theta_by_fpgrowth(db: &TransactionDb, k1: usize) -> f64 {
+        let top = top_k_itemsets(db, k1, None);
+        top.get(k1 - 1)
+            .or(top.last())
+            .map_or(0.0, |f| f.count as f64)
     }
 
     /// Forty items with pseudo-independent occurrences and frequencies falling from 0.5
@@ -166,10 +177,7 @@ mod tests {
         let sharded = ctx.sharded_db().expect("every context is sharded");
         assert!(Arc::ptr_eq(sharded.shards()[0].db(), &db));
         for k1 in [1usize, 3, 7] {
-            assert_eq!(
-                ctx.theta_count(k1),
-                crate::algorithm::theta_count_direct(&db, k1)
-            );
+            assert_eq!(ctx.theta_count(k1), theta_by_fpgrowth(&db, k1));
         }
         // Memoized: three distinct k1 values, repeats hit the cache.
         assert_eq!(ctx.theta_cache_len(), 3);
@@ -189,7 +197,7 @@ mod tests {
         for k1 in [1usize, 3, 7] {
             assert_eq!(
                 ctx.theta_count(k1),
-                crate::algorithm::theta_count_direct(&db, k1),
+                theta_by_fpgrowth(&db, k1),
                 "θ anchor must not depend on sharding (k1 = {k1})"
             );
         }
@@ -197,10 +205,9 @@ mod tests {
 
     #[test]
     fn shared_context_is_byte_identical_to_run() {
-        // The one-shot run (per-run restricted index, top-k θ miner) and a context —
-        // unsharded or 3 shards (full per-shard indexes, best-first θ miner) — must
-        // release the same bytes, on the single-basis (dense) and multi-basis (sparse)
-        // paths alike.
+        // The one-shot run (a one-shard context over a copy of the rows) and a context
+        // built by the caller — adopting the rows, or over 3 shards — must release the
+        // same bytes, on the single-basis (dense) and multi-basis (sparse) paths alike.
         let pb = PrivBasis::with_defaults();
         let mut multi_basis = false;
         for (db, k) in [(db(), 5usize), (sparse_db(), 25)] {

@@ -16,18 +16,19 @@
 //! The exact bin histograms dominate the data-dependent running time, and every engine
 //! computing them meets at the [`basis_freq_counts_with_histograms`] seam:
 //!
-//! * **Indexed** (default, [`basis_freq_counts`]) — a [`VerticalIndex`] is built (or
-//!   passed in via [`basis_freq_counts_with_index`]) and the bases are swept 64
-//!   transactions at a time with word-parallel byte and bit transposes, overlapping
-//!   bases in one sweep over their union ([`VerticalIndex::bin_histograms`]); with the
-//!   `parallel` feature each sweep splits its blocks across threads.
+//! * **Indexed** ([`basis_freq_counts`]) — Algorithm 1 alone over a bare database: an
+//!   index restricted to the spanned items is built (or a whole one passed in via
+//!   [`basis_freq_counts_with_index`]) and the bases are swept 64 transactions at a
+//!   time with word-parallel byte and bit transposes, overlapping bases in one sweep
+//!   over their union ([`VerticalIndex::bin_histograms`]); with the `parallel` feature
+//!   each sweep splits its blocks across threads.
 //! * **Naive** ([`basis_freq_counts_naive`]) — the paper's row scan: per transaction,
 //!   `ℓ` membership tests per basis. Kept as the reference the indexed engine is tested
 //!   against and the baseline the benchmarks measure speedups from.
-//! * **Sharded** — the serving pipeline plugs `pb_shard::ShardedDb::bin_histograms`
-//!   into the seam: per-shard histograms merged by summation before the noise is
-//!   applied (bins over disjoint row shards sum exactly; noise is drawn once, never per
-//!   shard).
+//! * **Sharded** — every PrivBasis run (one-shot or served) plugs
+//!   `pb_shard::ShardedDb::bin_histograms` into the seam: per-shard histograms, read from
+//!   each shard's whole index, merged by summation before the noise is applied (bins
+//!   over disjoint row shards sum exactly; noise is drawn once, never per shard).
 //!
 //! All engines draw the per-bin Laplace noise in exactly the same order *before* any
 //! counting happens, and the exact histograms are integers, so for a fixed RNG seed the
@@ -594,29 +595,6 @@ pub fn basis_freq_counts_naive<R: Rng + ?Sized>(
     })
 }
 
-/// Full Algorithm 1: noisy candidate counts plus top-`k` selection (indexed engine).
-pub fn basis_freq<R: Rng + ?Sized>(
-    rng: &mut R,
-    db: &TransactionDb,
-    basis_set: &BasisSet,
-    k: usize,
-    epsilon: Epsilon,
-) -> Vec<(ItemSet, f64)> {
-    basis_freq_counts(rng, db, basis_set, epsilon).top_k(k)
-}
-
-/// Full Algorithm 1 on the row-scan engine (the reference the indexed engine is tested
-/// against).
-pub fn basis_freq_naive<R: Rng + ?Sized>(
-    rng: &mut R,
-    db: &TransactionDb,
-    basis_set: &BasisSet,
-    k: usize,
-    epsilon: Epsilon,
-) -> Vec<(ItemSet, f64)> {
-    basis_freq_counts_naive(rng, db, basis_set, epsilon).top_k(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,8 +667,8 @@ mod tests {
                     assert_eq!(est.variance_units.to_bits(), n.variance_units.to_bits());
                 }
                 // And the ranked output is byte-identical too.
-                let a = basis_freq(&mut StdRng::seed_from_u64(seed), &db, &basis, 5, eps);
-                let b = basis_freq_naive(&mut StdRng::seed_from_u64(seed), &db, &basis, 5, eps);
+                let a = indexed.top_k(5);
+                let b = naive.top_k(5);
                 assert_eq!(a.len(), b.len());
                 for ((sa, ca), (sb, cb)) in a.iter().zip(&b) {
                     assert_eq!(sa, sb);
@@ -771,7 +749,7 @@ mod tests {
         let db = sample_db();
         let basis = BasisSet::new(vec![set(&[1, 2, 3]), set(&[4, 5])]);
         let mut rng = StdRng::seed_from_u64(2);
-        let top = basis_freq(&mut rng, &db, &basis, 3, Epsilon::Infinite);
+        let top = basis_freq_counts(&mut rng, &db, &basis, Epsilon::Infinite).top_k(3);
         assert_eq!(top.len(), 3);
         assert_eq!(top[0].0, set(&[1]));
         assert_eq!(top[0].1, 5.0);
@@ -897,14 +875,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let counts = basis_freq_counts(&mut rng, &db, &BasisSet::new(vec![]), Epsilon::Finite(1.0));
         assert!(counts.is_empty());
-        assert!(basis_freq(
-            &mut rng,
-            &db,
-            &BasisSet::new(vec![]),
-            5,
-            Epsilon::Finite(1.0)
-        )
-        .is_empty());
+        assert!(counts.top_k(5).is_empty());
     }
 
     #[test]
@@ -912,7 +883,7 @@ mod tests {
         let db = sample_db();
         let basis = BasisSet::new(vec![set(&[1, 2])]);
         let mut rng = StdRng::seed_from_u64(6);
-        let top = basis_freq(&mut rng, &db, &basis, 100, Epsilon::Infinite);
+        let top = basis_freq_counts(&mut rng, &db, &basis, Epsilon::Infinite).top_k(100);
         assert_eq!(top.len(), 3); // {1}, {2}, {1,2}
     }
 

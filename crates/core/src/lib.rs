@@ -18,6 +18,10 @@
 //!   graph, greedy merging, and leftover-item redistribution,
 //! * [`algorithm`] — Algorithm 3 `PrivBasis`: λ estimation, frequent item/pair selection, the
 //!   privacy-budget split α₁/α₂/α₃, and the end-to-end method,
+//! * [`context`] — [`QueryContext`], the one engine every run counts on: a row-sharded
+//!   database (one shard unless asked otherwise) with full per-shard indexes, the cached
+//!   item ranking and the memoized θ anchors. `PrivBasis::run` builds one per call;
+//!   callers that query one dataset repeatedly build it once and call `run_shared`,
 //! * [`params`] — the tunable parameters with the paper's defaults.
 //!
 //! ## Quick example
@@ -56,8 +60,8 @@ pub use consistency::{enforce_consistency, enforce_consistency_in_place, Consist
 pub use construct::construct_basis_set;
 pub use context::QueryContext;
 pub use freq::{
-    basis_freq, basis_freq_counts, basis_freq_counts_naive, basis_freq_counts_with_histograms,
-    basis_freq_counts_with_index, basis_freq_naive, NoisyCandidateCounts,
+    basis_freq_counts, basis_freq_counts_naive, basis_freq_counts_with_histograms,
+    basis_freq_counts_with_index, NoisyCandidateCounts,
 };
 pub use observe::{NoopObserver, PhaseObserver};
 pub use params::{PrivBasisParams, SelectionScale};

@@ -12,9 +12,7 @@
 //! portable as the RNG stream: `StdRng` is the repo's own vendored,
 //! platform-independent generator.
 
-use pb_core::{
-    basis_freq, basis_freq_counts, enforce_consistency, BasisSet, ConsistencyOptions, PrivBasis,
-};
+use pb_core::{basis_freq_counts, enforce_consistency, BasisSet, ConsistencyOptions, PrivBasis};
 use pb_dp::Epsilon;
 use pb_fim::itemset::ItemSet;
 use pb_fim::TransactionDb;
@@ -59,17 +57,79 @@ fn end_to_end_release_is_pinned() {
     );
 }
 
+/// The `sparse_db` construction of the algorithm's unit tests: 40 items with strictly
+/// decreasing frequencies (0.5 down to ~0.3) and pseudo-independent occurrences from a
+/// fixed mixing function, no RNG. Pairs co-occur near the product of the singleton
+/// frequencies, so at k = 45 the θ anchor is a pair: λ covers the 40 items, λ₂ > 0, and
+/// the release goes through pair selection and ConstructBasisSet.
+fn multi_basis_db() -> TransactionDb {
+    fn mix(i: usize, j: u32) -> u64 {
+        let mut x = (i as u64)
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add((j as u64).wrapping_mul(1442695040888963407));
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51afd7ed558ccd);
+        x ^ (x >> 29)
+    }
+    let rows: Vec<Vec<u32>> = (0..3_000usize)
+        .map(|i| {
+            (0..40u32)
+                .filter(|&j| mix(i, j) % 1000 < 500 - 5 * j as u64)
+                .collect()
+        })
+        .collect();
+    TransactionDb::from_transactions(rows)
+}
+
+#[test]
+fn multi_basis_release_is_pinned() {
+    let db = multi_basis_db();
+    let out = PrivBasis::with_defaults()
+        .run(
+            &mut StdRng::seed_from_u64(42),
+            &db,
+            45,
+            Epsilon::Finite(1.0),
+        )
+        .expect("run succeeds");
+    assert!(out.lambda2 > 0, "the fixture must select pairs");
+    assert!(
+        out.basis_set.width() > 1,
+        "the fixture must build several bases"
+    );
+    let bases: Vec<String> = out
+        .basis_set
+        .bases()
+        .iter()
+        .map(|b| {
+            let items: Vec<String> = b.items().iter().map(|i| i.to_string()).collect();
+            items.join(",")
+        })
+        .collect();
+    assert_eq!(
+        (out.lambda, out.lambda2),
+        GOLDEN_MULTI_BASIS_LAMBDAS,
+        "λ or λ₂ moved"
+    );
+    assert_eq!(bases, GOLDEN_MULTI_BASIS_BASES, "the basis set moved");
+    assert_eq!(
+        render(&out.itemsets),
+        GOLDEN_MULTI_BASIS,
+        "released bytes moved: itemsets or noisy-count bit patterns changed"
+    );
+}
+
 #[test]
 fn basis_freq_release_is_pinned() {
     let db = golden_db();
     let basis = BasisSet::new(vec![set(&[0, 1, 2, 3]), set(&[2, 3, 4, 5]), set(&[6, 7])]);
-    let top = basis_freq(
+    let top = basis_freq_counts(
         &mut StdRng::seed_from_u64(7),
         &db,
         &basis,
-        10,
         Epsilon::Finite(0.5),
-    );
+    )
+    .top_k(10);
     assert_eq!(render(&top), GOLDEN_BASIS_FREQ);
 }
 
@@ -139,4 +199,59 @@ const GOLDEN_CONSISTENCY: &[&str] = &[
     "4:4039ac764a421570",
     "4,5:0000000000000000",
     "5:4038106d5af4c44c",
+];
+
+const GOLDEN_MULTI_BASIS_LAMBDAS: (usize, usize) = (40, 10);
+
+const GOLDEN_MULTI_BASIS_BASES: &[&str] = &[
+    "0,3,9", "1,6,17", "2,5,11", "4,12,16", "7,10,15", "8,23", "11,18,27", "13,14,19", "20,21,22",
+    "24,25,26", "28,29,30", "31,32,33", "34,35,36", "37,38,39",
+];
+
+const GOLDEN_MULTI_BASIS: &[&str] = &[
+    "1:409908262efdad26",
+    "6:40985c62c2ed284a",
+    "0:40979e5b6791b0f4",
+    "3:4097290a6bf2a008",
+    "20:4096f59917ac15f2",
+    "4:409675eea4fb4958",
+    "13:40962787eccf6e72",
+    "17:409610a907add309",
+    "2:409605a714840dbc",
+    "8:4095e553b91be122",
+    "12:409572c729cffbaa",
+    "10:4095226a4663b421",
+    "9:4094fb60574103e2",
+    "15:4094d5a7bbea26a2",
+    "14:4094c6717c14a5d0",
+    "7:4094affc2875ddcd",
+    "19:409491a25cc0f0ce",
+    "11:40945f501560b41e",
+    "26:4093a3942aa04ea2",
+    "22:409370971926bdc0",
+    "21:409323134249cfdc",
+    "25:4093216505f3cc1f",
+    "23:409305d4243bbfbc",
+    "24:4092f8eaad991889",
+    "5:4092e45edd293a7e",
+    "16:4092dcd4758976d0",
+    "32:40916991db57b878",
+    "28:40915d0e3134574c",
+    "18:409145296eff92fa",
+    "29:4090d689338cd481",
+    "30:4090978203a9a887",
+    "31:409029acd46c55de",
+    "34:40901b731bcd7ef6",
+    "33:408f879839465df4",
+    "35:408f0d29af22231c",
+    "27:408e55797c0d7407",
+    "37:408c8e8e8901aa4a",
+    "38:408be1e0a9059508",
+    "36:408b2492b10a05ae",
+    "39:4089cb56ef5f919c",
+    "1,6:4087ebdfc721dba6",
+    "0,3:4087925a93ba58da",
+    "1,17:4086013a1616ca75",
+    "0,9:4085a16206915d24",
+    "4,12:40858c8331a514e9",
 ];

@@ -6,7 +6,7 @@
 //! RNG in the same order and add integer histograms to the same noise.
 
 use pb_core::freq::{basis_freq_counts_with_index, exact_bins_naive};
-use pb_core::{basis_freq, basis_freq_counts, basis_freq_counts_naive, basis_freq_naive, BasisSet};
+use pb_core::{basis_freq_counts, basis_freq_counts_naive, BasisSet};
 use pb_dp::Epsilon;
 use pb_fim::itemset::ItemSet;
 use pb_fim::{TransactionDb, VerticalIndex};
@@ -45,8 +45,10 @@ proptest! {
     #[test]
     fn ranked_output_byte_identical(db in arb_db(), basis in arb_basis_set(),
                                     seed in any::<u64>(), k in 1usize..12) {
-        let a = basis_freq(&mut StdRng::seed_from_u64(seed), &db, &basis, k, Epsilon::Finite(1.0));
-        let b = basis_freq_naive(&mut StdRng::seed_from_u64(seed), &db, &basis, k, Epsilon::Finite(1.0));
+        let a = basis_freq_counts(&mut StdRng::seed_from_u64(seed), &db, &basis, Epsilon::Finite(1.0))
+            .top_k(k);
+        let b = basis_freq_counts_naive(&mut StdRng::seed_from_u64(seed), &db, &basis, Epsilon::Finite(1.0))
+            .top_k(k);
         prop_assert_eq!(a.len(), b.len());
         for ((sa, ca), (sb, cb)) in a.iter().zip(&b) {
             prop_assert_eq!(sa, sb);

@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use pb_core::{PrivBasis, PrivBasisParams};
+use pb_core::{PrivBasis, PrivBasisParams, QueryContext};
 use pb_datagen::DatasetProfile;
 use pb_dp::Epsilon;
 use pb_experiments::{reps_from_env, scale_from_env, to_published};
@@ -43,8 +43,10 @@ fn main() {
         "FNR stderr",
     ]);
     for &(profile, k) in &cases {
-        let db = profile.generate(scale_from_env(profile), 42);
+        let db = profile.generate(scale_from_env(profile), 42).into_shared();
         let truth = top_k_itemsets(&db, k, None);
+        // θ depends on the data and k alone, so every split and repetition shares it.
+        let context = QueryContext::new(db);
         for &(a1, a2, a3) in splits {
             let pb = PrivBasis::new(PrivBasisParams {
                 alpha1: a1,
@@ -56,7 +58,7 @@ fn main() {
                 .map(|rep| {
                     let mut rng = StdRng::seed_from_u64(7_000 + rep as u64);
                     let out = pb
-                        .run(&mut rng, &db, k, Epsilon::Finite(epsilon))
+                        .run_shared(&mut rng, &context, k, Epsilon::Finite(epsilon))
                         .expect("valid split");
                     false_negative_rate(&truth, &to_published(&out.itemsets))
                 })

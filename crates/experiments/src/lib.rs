@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pb_core::PrivBasis;
+use pb_core::{PrivBasis, QueryContext};
 use pb_datagen::DatasetProfile;
 use pb_dp::Epsilon;
 use pb_fim::stats::top_k_stats;
@@ -150,7 +150,10 @@ pub fn figure_sweep(
     reps: usize,
     seed: u64,
 ) -> FigureData {
-    let db = profile.generate(scale, seed);
+    let db = profile.generate(scale, seed).into_shared();
+    // One context for the whole sweep: the index is built once, and θ is mined once per
+    // k rather than once per repetition.
+    let context = QueryContext::new(std::sync::Arc::clone(&db));
     let pb = PrivBasis::with_defaults();
 
     let mut fnr_series = Vec::new();
@@ -186,7 +189,7 @@ pub fn figure_sweep(
                     .wrapping_add(rep as u64);
                 let mut rng = StdRng::seed_from_u64(run_seed);
                 let out = pb
-                    .run(&mut rng, &db, k, Epsilon::Finite(eps))
+                    .run_shared(&mut rng, &context, k, Epsilon::Finite(eps))
                     .expect("default parameters are valid");
                 let published = to_published(&out.itemsets);
                 pb_fnr[ei].push(false_negative_rate(&truth, &published));

@@ -72,10 +72,11 @@
 //!   counts over items inside a class read the pair matrix. Anything else — an item
 //!   ranked past 16, no indexed item at all, or an absent table — falls back to the
 //!   sweep ([`VerticalIndex::bin_histograms_swept`] is that path alone).
-//! * **Whole indexes only.** Only [`VerticalIndex::build`] indexes keep tables: they
-//!   serve many queries (a shard, a shard worker). A
-//!   [`VerticalIndex::build_restricted`] index is built for one run that counts once,
-//!   where a table build would cost more than the sweep it saves.
+//! * **Whole indexes only.** Only [`VerticalIndex::build`] indexes keep tables: every
+//!   PrivBasis run counts on one (a shard's, a shard worker's, or the one-shard context
+//!   a one-shot run builds). A [`VerticalIndex::build_restricted`] index — Algorithm 1
+//!   alone over a bare database (`basis_freq_counts`), Apriori, Eclat, projections —
+//!   counts once, where a table build would cost more than the sweep it saves.
 //! * **Same bytes.** Both paths count every row exactly once into the same bin, as
 //!   integers, so the histograms and pair counts are identical whatever the class, the
 //!   rank order or the thread budget, and so is everything released from them.

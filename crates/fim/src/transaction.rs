@@ -6,7 +6,7 @@
 
 use crate::index::VerticalIndex;
 use crate::itemset::{Item, ItemSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// An in-memory transaction database.
 ///
@@ -33,16 +33,21 @@ impl TransactionDb {
     }
 
     /// Builds a database from already-normalised itemsets.
+    ///
+    /// The distinct items are gathered with one hash insert per occurrence and ordered
+    /// once at the end: a tree insert per occurrence walks the tree every time, and a
+    /// table indexed by item id would be sized by the largest id, an arbitrary `u32`
+    /// read from a file. Memory follows the distinct items, not the rows.
     pub fn from_itemsets(transactions: Vec<ItemSet>) -> Self {
-        let mut distinct_items = BTreeSet::new();
+        let mut seen = HashSet::new();
         let mut total_items = 0usize;
         for t in &transactions {
             total_items += t.len();
-            distinct_items.extend(t.iter());
+            seen.extend(t.iter());
         }
         TransactionDb {
             transactions,
-            distinct_items,
+            distinct_items: BTreeSet::from_iter(seen),
             total_items,
         }
     }

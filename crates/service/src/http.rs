@@ -197,7 +197,8 @@ pub(crate) fn serve_http(
                     ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
                     let body = Response::Error(WireError::malformed(message))
                         .encode(PROTOCOL_VERSION, None);
-                    write_response(&mut stream, 400, "application/json", body.as_bytes(), false)?;
+                    let reply = (400, "application/json", body, None);
+                    write_response(&mut stream, &reply, false)?;
                     return Ok(());
                 }
                 Ok(None) => break,
@@ -205,16 +206,9 @@ pub(crate) fn serve_http(
                     buf.drain(..consumed);
                     pb_fault::inject!("conn.read")?;
                     let keep_alive = request.keep_alive() && !is_shutting_down(ctx);
-                    let (status, content_type, body) = route(&request, ctx);
-                    let written = pb_fault::inject!("conn.write").and_then(|()| {
-                        write_response(
-                            &mut stream,
-                            status,
-                            content_type,
-                            body.as_bytes(),
-                            keep_alive,
-                        )
-                    });
+                    let reply = route(&request, ctx);
+                    let written = pb_fault::inject!("conn.write")
+                        .and_then(|()| write_response(&mut stream, &reply, keep_alive));
                     if let Err(e) = written {
                         if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                             // The peer accepted no bytes for the whole write deadline.
@@ -253,10 +247,14 @@ pub(crate) fn serve_http(
     }
 }
 
+/// One reply: status, content type, body, and the server-assigned id the request was
+/// traced under (`None` when it opened no trace), sent back as `X-Trace-Id`.
+type Reply = (u16, &'static str, String, Option<String>);
+
 /// Routes one request to the shared op handlers (or the metrics renderer).
-fn route(request: &HttpRequest, ctx: &ServerCtx) -> (u16, &'static str, String) {
+fn route(request: &HttpRequest, ctx: &ServerCtx) -> Reply {
     match (request.method.as_str(), request.path()) {
-        ("GET", "/metrics") => (200, "text/plain; version=0.0.4", render_metrics(ctx)),
+        ("GET", "/metrics") => (200, "text/plain; version=0.0.4", render_metrics(ctx), None),
         ("POST", "/v1/query") => run_op(request, "query", ctx),
         ("GET", "/v1/status") => run_op(request, "status", ctx),
         // Trace lookup by id: the id a client put in its v2 envelope (or the
@@ -278,6 +276,7 @@ fn route(request: &HttpRequest, ctx: &ServerCtx) -> (u16, &'static str, String) 
                 status,
                 "application/json",
                 response.encode(PROTOCOL_VERSION, None),
+                None,
             )
         }
         ("POST", "/v1/perturb") => run_op(request, "perturb", ctx),
@@ -306,6 +305,7 @@ fn route(request: &HttpRequest, ctx: &ServerCtx) -> (u16, &'static str, String) 
                 error.code.http_status(),
                 "application/json",
                 Response::Error(error).encode(PROTOCOL_VERSION, None),
+                None,
             )
         }
     }
@@ -313,26 +313,29 @@ fn route(request: &HttpRequest, ctx: &ServerCtx) -> (u16, &'static str, String) 
 
 /// Parses the body as the named op's fields and executes it — the same
 /// [`Op::parse_fields`] and [`execute`] the TCP path uses.
-fn run_op(request: &HttpRequest, op_name: &str, ctx: &ServerCtx) -> (u16, &'static str, String) {
+fn run_op(request: &HttpRequest, op_name: &str, ctx: &ServerCtx) -> Reply {
     ctx.requests_total.fetch_add(1, Ordering::Relaxed);
     let arrived_us = ctx.telemetry.now_us();
     let op = body_json(request).and_then(|body| Op::parse_fields(op_name, &body, PROTOCOL_VERSION));
-    let (status, encoded) = match op {
+    let (status, encoded, trace_id) = match op {
         Err(e) => {
             ctx.rejected_total.fetch_add(1, Ordering::Relaxed);
             (
                 e.code.http_status(),
                 Response::Error(e).encode(PROTOCOL_VERSION, None),
+                None,
             )
         }
         // The gateway routes no shutdown op, so the shutdown flag can never be set
         // here; process control stays on the TCP surface. HTTP requests carry no
-        // envelope id, so the trace id is always server-assigned here.
+        // envelope id, so the trace id is always server-assigned here; the reply
+        // hands it back so the client can fetch its own trace.
         Ok(op) => {
             let parsed_us = ctx.telemetry.now_us();
+            let trace_id = ctx.telemetry.assign_id();
             let req = ReqTrace::begin(
                 Arc::clone(&ctx.telemetry),
-                ctx.telemetry.assign_id(),
+                trace_id.clone(),
                 op.name(),
                 arrived_us,
             );
@@ -351,10 +354,10 @@ fn run_op(request: &HttpRequest, op_name: &str, ctx: &ServerCtx) -> (u16, &'stat
             let encoded = response.encode(PROTOCOL_VERSION, None);
             req.span_since("encode", encode_started);
             req.finish();
-            (status, encoded)
+            (status, encoded, Some(trace_id))
         }
     };
-    (status, "application/json", encoded)
+    (status, "application/json", encoded, trace_id)
 }
 
 /// The request body as a JSON object (an empty body counts as `{}`, so GET routes and
@@ -370,22 +373,21 @@ fn body_json(request: &HttpRequest) -> Result<Json, WireError> {
 
 /// Writes one response — head and body built into one buffer and sent in one
 /// `write_all`, so no part of it waits behind the client's delayed ACK.
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
+fn write_response(stream: &mut TcpStream, reply: &Reply, keep_alive: bool) -> std::io::Result<()> {
+    let (status, content_type, body, trace_id) = reply;
+    let trace_header = trace_id
+        .as_ref()
+        .map(|id| format!("X-Trace-Id: {id}\r\n"))
+        .unwrap_or_default();
     let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-        reason(status),
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{trace_header}Connection: {}\r\n\r\n",
+        reason(*status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
     let mut response = Vec::with_capacity(head.len() + body.len());
     response.extend_from_slice(head.as_bytes());
-    response.extend_from_slice(body);
+    response.extend_from_slice(body.as_bytes());
     stream.write_all(&response)
 }
 

@@ -28,6 +28,17 @@ fn fixture_db(n: usize) -> TransactionDb {
 
 /// One HTTP/1.1 request over a fresh connection; returns `(status, body)`.
 fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let (status, _, body) = http_exchange(addr, method, path, body);
+    (status, body)
+}
+
+/// [`http_request`] that also returns the `X-Trace-Id` header, if the reply has one.
+fn http_exchange(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, Option<String>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect http");
     write!(
         stream,
@@ -42,11 +53,13 @@ fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16,
         .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((&raw, ""));
+    let trace_id = head.split("\r\n").find_map(|line| {
+        let (name, value) = line.split_once(':')?;
+        name.eq_ignore_ascii_case("x-trace-id")
+            .then(|| value.trim().to_string())
+    });
+    (status, trace_id, body.to_string())
 }
 
 #[test]
@@ -122,9 +135,9 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     );
     assert!(body.contains(r#""name":"noise_draw""#), "{body}");
 
-    // An HTTP query is traced under a server-assigned `s<N>` id, and its encode runs
-    // inside the trace: the newest traced query carries an `encode` span.
-    let (status, body) = http_request(
+    // An HTTP query is traced under a server-assigned `s<N>` id that the reply carries
+    // in `X-Trace-Id`, and its encode runs inside the trace.
+    let (status, trace_id, body) = http_exchange(
         http_addr,
         "POST",
         "/v1/query",
@@ -132,14 +145,17 @@ fn trace_op_returns_the_span_tree_and_never_perturbs_release_bytes() {
     );
     assert_eq!(status, 200, "{body}");
     assert_eq!(release(&body), release(&v1));
-    let http_trace = (0..64)
-        .rev()
-        .find_map(|n| {
-            let (status, body) = http_request(http_addr, "GET", &format!("/v1/trace/s{n}"), "");
-            (status == 200 && body.contains(r#""trace_op":"query""#)).then_some(body)
-        })
-        .expect("the HTTP query left a trace");
+    let trace_id = trace_id.expect("a traced HTTP reply names its trace");
+    assert!(trace_id.starts_with('s'), "{trace_id}");
+    let (status, http_trace) = http_request(http_addr, "GET", &format!("/v1/trace/{trace_id}"), "");
+    assert_eq!(status, 200, "{http_trace}");
+    assert!(http_trace.contains(r#""trace_op":"query""#), "{http_trace}");
     assert!(http_trace.contains(r#""name":"encode""#), "{http_trace}");
+
+    // A malformed body is rejected before any trace opens, so its reply names none.
+    let (status, trace_id, body) = http_exchange(http_addr, "POST", "/v1/query", "{not json");
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(trace_id, None, "{body}");
 
     // Unknown ids fail with a structured error, not an empty 200.
     let (status, body) = http_request(http_addr, "GET", "/v1/trace/never-was", "");

@@ -81,8 +81,8 @@ struct Options {
     rules_min_confidence: Option<f64>,
     tsv: bool,
     no_consistency: bool,
-    /// Partition the rows into this many shards and count through the sharded engine
-    /// (byte-identical output for a fixed seed; exercises the `pb-shard` fan-out).
+    /// Partition the rows into this many shards (one when unset); the output for a
+    /// fixed seed is byte-identical for any count (exercises the `pb-shard` fan-out).
     shards: Option<usize>,
 }
 
@@ -1146,6 +1146,9 @@ fn eval_grid(options: &EvalOptions, db: &TransactionDb) -> Result<Vec<EvalCell>,
     } else {
         None
     };
+    // One PrivBasis context per input, shared by every k, ε and run: the index is built
+    // and each θ mined once.
+    let central = (options.method == Method::PrivBasis).then(|| pb_context(db, None));
     let mut cells = Vec::new();
     for &k in &options.ks {
         // Exact (non-private) ground truth, mined once per k and shared by every ε.
@@ -1188,6 +1191,7 @@ fn eval_grid(options: &EvalOptions, db: &TransactionDb) -> Result<Vec<EvalCell>,
                         shards: None,
                     },
                     db,
+                    central.as_ref(),
                 )
             })?);
             if let Some(shape) = channel {
@@ -1303,7 +1307,21 @@ fn eval(options: &EvalOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn run(options: &Options, db: &TransactionDb) -> Result<Vec<(ItemSet, f64)>, String> {
+/// The counting context a PrivBasis release runs on: `db`'s rows over `shards` row
+/// shards (one when unset). Per-shard counts merge by summation and the noise is drawn
+/// once on the merged counts, so the shard count never changes a released byte.
+fn pb_context(db: &TransactionDb, shards: Option<usize>) -> QueryContext {
+    QueryContext::sharded(ShardedDb::partition(db, shards.unwrap_or(1)).into_shared())
+}
+
+/// One central release of `options` over `db`. A PrivBasis release runs on `context`
+/// when the caller already holds one over `db` (eval reuses one for its whole grid), and
+/// otherwise on a context built here from `--shards`.
+fn run(
+    options: &Options,
+    db: &TransactionDb,
+    context: Option<&QueryContext>,
+) -> Result<Vec<(ItemSet, f64)>, String> {
     let epsilon = Epsilon::new(options.epsilon).map_err(|e| e.to_string())?;
     // audit:allow(noise-seam): RNG construction only — all draws happen inside pb-dp behind the method entry points
     let mut rng = StdRng::seed_from_u64(options.seed);
@@ -1317,18 +1335,17 @@ fn run(options: &Options, db: &TransactionDb) -> Result<Vec<(ItemSet, f64)>, Str
                 },
                 ..Default::default()
             };
-            let pb = PrivBasis::new(params);
-            let out = match options.shards {
-                // Row-sharded engine: per-shard counting, summed merges, noise drawn
-                // once on the merged counts — byte-identical to the unsharded run.
-                Some(shards) => {
-                    let context =
-                        QueryContext::sharded(ShardedDb::partition(db, shards).into_shared());
-                    pb.run_shared(&mut rng, &context, options.k, epsilon)
+            let built;
+            let context = match context {
+                Some(context) => context,
+                None => {
+                    built = pb_context(db, options.shards);
+                    &built
                 }
-                None => pb.run(&mut rng, db, options.k, epsilon),
-            }
-            .map_err(|e| e.to_string())?;
+            };
+            let out = PrivBasis::new(params)
+                .run_shared(&mut rng, context, options.k, epsilon)
+                .map_err(|e| e.to_string())?;
             Ok(out.itemsets)
         }
         Method::TruncatedFrequency => {
@@ -1439,7 +1456,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let published = match run(&options, &db) {
+    let published = match run(&options, &db, None) {
         Ok(p) => p,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -2184,20 +2201,24 @@ mod tests {
             no_consistency: false,
             shards: None,
         };
-        let pb = run(&base, &db).unwrap();
+        let pb = run(&base, &db, None).unwrap();
         assert_eq!(pb.len(), 3);
         assert!((pb[0].1 - db.support(&pb[0].0) as f64).abs() < 1e-9);
 
-        // --shards routes through the sharded engine; output is identical for the seed.
+        // --shards partitions the rows; output is identical for the seed. So is a run
+        // on a context the caller already holds, as eval passes one.
         let pb_sharded = run(
             &Options {
                 shards: Some(3),
                 ..base.clone()
             },
             &db,
+            None,
         )
         .unwrap();
         assert_eq!(pb, pb_sharded);
+        let held = pb_context(&db, None);
+        assert_eq!(pb, run(&base, &db, Some(&held)).unwrap());
 
         let tf = run(
             &Options {
@@ -2205,6 +2226,7 @@ mod tests {
                 ..base.clone()
             },
             &db,
+            None,
         )
         .unwrap();
         assert_eq!(tf.len(), 3);
