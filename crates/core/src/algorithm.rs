@@ -125,8 +125,21 @@ impl PrivBasis {
         k: usize,
         epsilon: Epsilon,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
+        // Refuse bad inputs before the row copy and the index build, not after.
+        self.check(k)?;
         let context = crate::context::QueryContext::new(db.clone().into_shared());
         self.run_shared(rng, &context, k, epsilon)
+    }
+
+    /// The input checks every run starts with: valid parameters and `k ≥ 1`.
+    fn check(&self, k: usize) -> Result<(), PrivBasisError> {
+        self.params
+            .validate()
+            .map_err(PrivBasisError::InvalidParams)?;
+        if k == 0 {
+            return Err(PrivBasisError::InvalidK);
+        }
+        Ok(())
     }
 
     /// [`PrivBasis::run`] against a [`QueryContext`](crate::context::QueryContext): the
@@ -185,12 +198,7 @@ impl PrivBasis {
         transform: Option<CountTransform<'_>>,
         obs: &dyn PhaseObserver,
     ) -> Result<PrivBasisOutput, PrivBasisError> {
-        self.params
-            .validate()
-            .map_err(PrivBasisError::InvalidParams)?;
-        if k == 0 {
-            return Err(PrivBasisError::InvalidK);
-        }
+        self.check(k)?;
         let sharded = context.shards();
         let n = sharded.num_transactions();
         let items_by_freq = sharded.items_by_frequency();

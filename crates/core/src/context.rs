@@ -13,9 +13,15 @@
 //!
 //! Every context counts over a row-partitioned [`ShardedDb`]; an unsharded dataset is
 //! simply one shard ([`QueryContext::new`]). Counting fans out across the shards and
-//! merges by summation, θ anchors come from the sharded best-first miner, and noise is
-//! drawn once on the merged counts — so a pinned seed produces byte-identical
+//! merges by summation, θ anchors come from the one exact top-`k` miner
+//! (`pb_fim::topk::best_first_top_k`) over shard-merged counts, and noise is drawn once
+//! on the merged counts — so a pinned seed produces byte-identical
 //! [`PrivBasisOutput`](crate::PrivBasisOutput) whatever the shard count.
+//!
+//! A θ is memoized only when it was mined without a shard-fabric failure: a failed
+//! remote count reads as zero, so a θ mined across one is wrong, and a memo of it would
+//! make every later query for that `k1` release bytes that are no longer a function of
+//! (data, seed). The query that mined it fails closed on the same failure counter.
 //!
 //! Reusing deterministic precomputation is privacy-neutral: every cached value is a fixed
 //! function of the database, identical to what each query would have recomputed, so each
@@ -94,16 +100,19 @@ impl QueryContext {
     /// Two threads racing on a cold key both mine the same deterministic value; the
     /// second insert overwrites with an identical number, so no double-checked locking is
     /// needed around the (potentially slow) mining call — and holding the lock across it
-    /// would serialise unrelated queries.
+    /// would serialise unrelated queries. A value mined while the shard fabric failed is
+    /// returned (its query fails closed) but not memoized.
     pub(crate) fn theta_count(&self, k1: usize) -> f64 {
         if let Some(&count) = self.lock().get(&k1) {
             return count;
         }
-        // The sharded best-first miner counts candidates across shards; same value as
-        // mining the concatenation (the support multiset is a property of the data, not
-        // the algorithm).
+        // Candidates are counted across shards; same value as mining the concatenation
+        // (the support multiset is a property of the data, not the algorithm).
+        let failures = self.sharded.fabric_failures();
         let count = self.sharded.kth_support_count(k1);
-        self.lock().insert(k1, count);
+        if self.sharded.fabric_failures() == failures {
+            self.lock().insert(k1, count);
+        }
         count
     }
 
@@ -124,7 +133,7 @@ mod tests {
     use super::*;
     use crate::PrivBasis;
     use pb_dp::Epsilon;
-    use pb_fim::topk::top_k_itemsets;
+    use pb_fim::fpgrowth::fpgrowth;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -138,12 +147,12 @@ mod tests {
         TransactionDb::from_transactions(rows).into_shared()
     }
 
-    /// The θ oracle: the support of the `k1`-th itemset by fpgrowth over the whole
-    /// database (the rarest one when fewer than `k1` exist).
+    /// The θ oracle: the support of the `k1`-th itemset in fpgrowth's full ranking of
+    /// the whole database (the rarest one when fewer than `k1` exist).
     fn theta_by_fpgrowth(db: &TransactionDb, k1: usize) -> f64 {
-        let top = top_k_itemsets(db, k1, None);
-        top.get(k1 - 1)
-            .or(top.last())
+        let all = fpgrowth(db, 1, None);
+        all[..k1.min(all.len())]
+            .last()
             .map_or(0.0, |f| f.count as f64)
     }
 

@@ -20,8 +20,8 @@
 //!   index restricted to the spanned items is built (or a whole one passed in via
 //!   [`basis_freq_counts_with_index`]) and the bases are swept 64 transactions at a
 //!   time with word-parallel byte and bit transposes, overlapping bases in one sweep
-//!   over their union ([`VerticalIndex::bin_histograms`]); with the `parallel` feature
-//!   each sweep splits its blocks across threads.
+//!   over their union ([`VerticalIndex::bin_histograms`]); with a thread budget above 1
+//!   each wide sweep splits its blocks across the counting pool.
 //! * **Naive** ([`basis_freq_counts_naive`]) — the paper's row scan: per transaction,
 //!   `ℓ` membership tests per basis. Kept as the reference the indexed engine is tested
 //!   against and the baseline the benchmarks measure speedups from.
@@ -546,7 +546,7 @@ pub fn basis_freq_counts_with_histograms<R: Rng + ?Sized>(
 ///
 /// The per-bin noise is drawn sequentially (basis order, mask order) before counting;
 /// the exact histograms are then computed by the index — across threads when the
-/// `parallel` feature (default) is enabled and the workload is wide enough. Output is
+/// thread budget is above 1 and the workload is wide enough. Output is
 /// byte-identical to [`basis_freq_counts_naive`] for the same RNG seed.
 ///
 /// # Panics

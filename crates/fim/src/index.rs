@@ -75,8 +75,9 @@
 //! * **Whole indexes only.** Only [`VerticalIndex::build`] indexes keep tables: every
 //!   PrivBasis run counts on one (a shard's, a shard worker's, or the one-shard context
 //!   a one-shot run builds). A [`VerticalIndex::build_restricted`] index — Algorithm 1
-//!   alone over a bare database (`basis_freq_counts`), Apriori, Eclat, projections —
-//!   counts once, where a table build would cost more than the sweep it saves.
+//!   alone over a bare database (`basis_freq_counts`), the top-`k` walk, Apriori,
+//!   projections — counts once, where a table build would cost more than the sweep it
+//!   saves.
 //! * **Same bytes.** Both paths count every row exactly once into the same bin, as
 //!   integers, so the histograms and pair counts are identical whatever the class, the
 //!   rank order or the thread budget, and so is everything released from them.
@@ -96,7 +97,6 @@ pub use crate::pool::{available_parallelism, set_parallelism_override};
 const PAR_MIN_WORDS: usize = 256;
 
 /// Below this many transactions the index build fills its bitmaps on one thread.
-#[cfg(feature = "parallel")]
 const PAR_MIN_BUILD_ROWS: usize = 1 << 15;
 
 /// The widest union [`VerticalIndex::bin_histograms`] sweeps for a group of bases. Its
@@ -158,12 +158,9 @@ impl VerticalIndex {
         let lookup = SlotLookup::new(&items);
         let prefix = restrict.is_none().then(Box::default);
 
-        #[cfg(feature = "parallel")]
-        {
-            let threads = available_parallelism();
-            if threads > 1 && n >= PAR_MIN_BUILD_ROWS {
-                return Self::build_chunked(db, items, &lookup, threads, prefix);
-            }
+        let threads = available_parallelism();
+        if threads > 1 && n >= PAR_MIN_BUILD_ROWS {
+            return Self::build_chunked(db, items, &lookup, threads, prefix);
         }
 
         let num_words = n.div_ceil(64);
@@ -188,7 +185,6 @@ impl VerticalIndex {
     /// Parallel build: transactions are split into 64-aligned chunks, each worker fills a
     /// flat word block for its chunk, and the per-chunk blocks are stitched into the final
     /// bitmaps. Bit-for-bit identical to the sequential build.
-    #[cfg(feature = "parallel")]
     fn build_chunked(
         db: &TransactionDb,
         items: Vec<Item>,
@@ -1192,7 +1188,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "parallel")]
     fn parallel_paths_match_sequential() {
         // The container running the tests may expose a single core, in which case the
         // threaded build/sweep would never execute; the in-process override forces them

@@ -7,10 +7,12 @@
 //! * a vertical bitmap index ([`VerticalIndex`]) that turns support counting, pair
 //!   counting, and the `BasisFreq` bin histogram into word-parallel AND/popcount kernels,
 //! * the process-wide counting [`pool`] every per-query fan-out runs on,
-//! * two reference miners — level-wise [`apriori`] and tree-based [`fpgrowth`] —
-//!   that are tested against each other,
-//! * top-`k` mining and threshold mining helpers ([`topk`]),
-//! * maximal frequent itemset extraction ([`maximal`]),
+//! * the one exact top-`k` miner ([`topk`]): a lazy best-first walk over a support
+//!   oracle, which answers the ground-truth top-`k` here and the θ anchor of a sharded
+//!   dataset in `pb-shard`,
+//! * two threshold miners — level-wise [`apriori`] and tree-based [`fpgrowth`] —
+//!   that are tested against each other and are the walk's oracles; fpgrowth also
+//!   serves the TF baseline's threshold enumerations,
 //! * the dataset statistics reported in Table 2(a) of the paper
 //!   (λ, λ₂, λ₃, f_k — see [`stats`]).
 //!
@@ -40,12 +42,10 @@
 
 pub mod apriori;
 pub mod bitmap;
-pub mod eclat;
 pub mod fpgrowth;
 pub mod index;
 pub mod io;
 pub mod itemset;
-pub mod maximal;
 pub mod pairs;
 pub mod pool;
 pub mod rules;

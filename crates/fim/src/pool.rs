@@ -250,9 +250,9 @@ impl<T> Call<T> {
 }
 
 /// The process-wide counting pool, started at first use with one helper fewer than
-/// the default budget (`PB_NUM_THREADS`, else the hardware parallelism; 1 without
-/// the `parallel` feature). The programmatic override never resizes it: a budget
-/// above the pool's size is still correct, the caller just runs more shares itself.
+/// the default budget (`PB_NUM_THREADS`, else the hardware parallelism). The
+/// programmatic override never resizes it: a budget above the pool's size is still
+/// correct, the caller just runs more shares itself.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| Pool::new(default_parallelism() - 1))
@@ -280,11 +280,8 @@ pub fn set_parallelism_override(threads: Option<usize>) {
 
 /// The thread budget for index builds, histogram sweeps and shard fan-out: the
 /// programmatic override if set, else the default (`PB_NUM_THREADS`, else the
-/// hardware parallelism). Always 1 when the `parallel` feature is disabled.
+/// hardware parallelism).
 pub fn available_parallelism() -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     match PARALLELISM_OVERRIDE.load(Ordering::Relaxed) {
         0 => default_parallelism(),
         o => o,
@@ -293,11 +290,8 @@ pub fn available_parallelism() -> usize {
 
 /// The `PB_NUM_THREADS` environment variable, else the hardware parallelism — both
 /// read once per process, at first use, because the standard-library query re-reads
-/// the cgroup CPU quota files on every call. 1 without the `parallel` feature.
+/// the cgroup CPU quota files on every call.
 fn default_parallelism() -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         std::env::var("PB_NUM_THREADS")

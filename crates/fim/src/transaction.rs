@@ -172,7 +172,7 @@ impl TransactionDb {
     /// Builds a [`VerticalIndex`] (item → transaction-id bitmap) over this database.
     ///
     /// The index answers `support`/`supports`/`pair_counts` with AND/popcount kernels and
-    /// is what the counting hot paths (Apriori levels, Eclat, `BasisFreq`) run on.
+    /// is what the counting hot paths (Apriori levels, `BasisFreq`) run on.
     pub fn vertical_index(&self) -> VerticalIndex {
         VerticalIndex::build(self)
     }

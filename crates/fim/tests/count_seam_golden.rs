@@ -4,11 +4,10 @@
 //! These counts are deterministic functions of the data, so their goldens are
 //! plain integers — what the tests really pin is the *enumeration order and
 //! content stability* of the seams across container changes (the
-//! `HashMap` → `BTreeMap` sweep on the release path) and across the three
-//! mining engines.
+//! `HashMap` → `BTreeMap` sweep on the release path) and across the two
+//! threshold miners.
 
 use pb_fim::apriori::apriori;
-use pb_fim::eclat::eclat;
 use pb_fim::fpgrowth::fpgrowth;
 use pb_fim::itemset::ItemSet;
 use pb_fim::TransactionDb;
@@ -66,9 +65,7 @@ fn miners_agree_and_are_pinned() {
     let db = golden_db();
     let min_count = 8;
     let a = apriori(&db, min_count, None);
-    let e = eclat(&db, min_count, None);
     let f = fpgrowth(&db, min_count, None);
-    assert_eq!(a, e, "apriori vs eclat diverged");
     assert_eq!(a, f, "apriori vs fpgrowth diverged");
     let rendered: Vec<String> = a
         .iter()

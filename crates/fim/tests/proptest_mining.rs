@@ -1,13 +1,12 @@
 //! Property-based tests for the mining substrate.
 //!
-//! The central invariant is that the two independent miners (Apriori and FP-Growth) agree on
-//! arbitrary databases, and that both agree with brute-force support counting.
+//! The central invariants are that the two threshold miners (Apriori and FP-Growth) agree
+//! on arbitrary databases, that both agree with brute-force support counting, and that
+//! the best-first top-`k` walk is a prefix of FP-Growth's full ranking.
 
 use pb_fim::apriori::apriori;
-use pb_fim::eclat::eclat;
 use pb_fim::fpgrowth::fpgrowth;
 use pb_fim::itemset::ItemSet;
-use pb_fim::maximal::{covers_all, maximal_itemsets};
 use pb_fim::rules::generate_rules;
 use pb_fim::topk::top_k_itemsets;
 use pb_fim::TransactionDb;
@@ -27,11 +26,6 @@ proptest! {
         let a = apriori(&db, min_count, None);
         let f = fpgrowth(&db, min_count, None);
         prop_assert_eq!(a, f);
-    }
-
-    #[test]
-    fn eclat_agrees_with_fpgrowth(db in arb_db(), min_count in 1usize..5) {
-        prop_assert_eq!(eclat(&db, min_count, None), fpgrowth(&db, min_count, None));
     }
 
     #[test]
@@ -86,19 +80,15 @@ proptest! {
     }
 
     #[test]
-    fn topk_is_prefix_of_full_ranking(db in arb_db(), k in 1usize..12) {
-        let top = top_k_itemsets(&db, k, None);
-        let all = fpgrowth(&db, 1, None);
-        prop_assert_eq!(&top[..], &all[..top.len().min(all.len())]);
-        prop_assert!(top.len() <= k);
-    }
-
-    #[test]
-    fn maximal_itemsets_cover_all_frequent(db in arb_db(), min_count in 1usize..4) {
-        let all = fpgrowth(&db, min_count, None);
-        let maximal = maximal_itemsets(&all);
-        let cover: Vec<ItemSet> = maximal.iter().map(|m| m.items.clone()).collect();
-        prop_assert!(covers_all(&all, &cover));
+    fn topk_is_prefix_of_full_ranking(db in arb_db(), len_cap in 0usize..4,
+                                      k_share in 0.0f64..1.0, extra_k in 0usize..3) {
+        // max_len ∈ {None, 1, 2, 3}; k over 1..=n + 2, n the itemset count. Threshold 1
+        // mines every itemset, so the walk's universe bound is checked too.
+        let max_len = (len_cap > 0).then_some(len_cap);
+        let all = fpgrowth(&db, 1, max_len);
+        let k = 1 + (k_share * all.len() as f64) as usize + extra_k;
+        let top = top_k_itemsets(&db, k, max_len);
+        prop_assert_eq!(&top[..], &all[..k.min(all.len())]);
     }
 
     #[test]

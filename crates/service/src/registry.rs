@@ -473,6 +473,28 @@ struct Persistence {
     live: Mutex<HashMap<String, LiveAccounting>>,
 }
 
+impl Persistence {
+    /// Applies `edit` to a copy of the manifest image and stores the copy. The shared
+    /// image is replaced only once the bytes are on disk, so a failed store leaves no
+    /// phantom change that the next successful update would silently persist. An edit
+    /// that returns `false` changed nothing, and nothing is stored.
+    fn update_manifest(
+        &self,
+        edit: impl FnOnce(&mut Manifest) -> bool,
+    ) -> Result<(), RegistryError> {
+        let mut manifest = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut updated = manifest.clone();
+        if !edit(&mut updated) {
+            return Ok(());
+        }
+        self.state
+            .store_manifest(&updated)
+            .map_err(|e| RegistryError::Io(e.to_string()))?;
+        *manifest = updated;
+        Ok(())
+    }
+}
+
 /// A concurrent name → dataset map, optionally backed by a [`StateDir`].
 #[derive(Default)]
 pub struct DatasetRegistry {
@@ -646,19 +668,7 @@ impl DatasetRegistry {
             return Err(RegistryError::NotFound(name.to_string()));
         }
         if let Some(persistence) = &self.persistence {
-            let mut manifest = persistence
-                .manifest
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if manifest.get(name).is_some() {
-                let mut updated = manifest.clone();
-                updated.remove(name);
-                persistence
-                    .state
-                    .store_manifest(&updated)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                *manifest = updated;
-            }
+            persistence.update_manifest(|manifest| manifest.remove(name))?;
         }
         // Presence was checked above under the same write lock; if the entry
         // vanished anyway, report the dataset missing instead of panicking the
@@ -742,21 +752,9 @@ impl DatasetRegistry {
             }
         }
         if let Some(persistence) = &self.persistence {
-            let mut manifest = persistence
-                .manifest
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(recorded) = manifest.get(name) {
-                let mut manifest_entry = recorded.clone();
-                manifest_entry.shards = shards;
-                let mut updated = manifest.clone();
-                updated.upsert(manifest_entry);
-                persistence
-                    .state
-                    .store_manifest(&updated)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                *manifest = updated;
-            }
+            persistence.update_manifest(|manifest| {
+                edit_recorded(manifest, name, |recorded| recorded.shards = shards)
+            })?;
         }
         self.install_fabric_observer(&entry);
         map.insert(name.to_string(), Arc::clone(&entry));
@@ -888,29 +886,22 @@ impl DatasetRegistry {
                     )));
                 }
                 drop(live);
-                let mut manifest = persistence
-                    .manifest
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let mut updated = manifest.clone();
-                updated.upsert(ManifestEntry {
-                    name: name.clone(),
-                    path: source.clone(),
-                    // No lifetime budget exists for an LDP dataset; ∞ keeps the
-                    // field honest for tooling that reads the manifest directly.
-                    epsilon: Epsilon::Infinite,
-                    transactions,
-                    fingerprint,
-                    shards,
-                    workers: workers.clone(),
-                    ldp: Some(channel_params(channel)),
-                    consistency: recorded_consistency,
-                });
-                persistence
-                    .state
-                    .store_manifest(&updated)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                *manifest = updated;
+                persistence.update_manifest(|manifest| {
+                    manifest.upsert(ManifestEntry {
+                        name: name.clone(),
+                        path: source.clone(),
+                        // No lifetime budget exists for an LDP dataset; ∞ keeps the
+                        // field honest for tooling that reads the manifest directly.
+                        epsilon: Epsilon::Infinite,
+                        transactions,
+                        fingerprint,
+                        shards,
+                        workers: workers.clone(),
+                        ldp: Some(channel_params(channel)),
+                        consistency: recorded_consistency,
+                    });
+                    true
+                })?;
                 (
                     PrivacyMode::Ldp(*channel),
                     Arc::new(AtomicU64::new(0)),
@@ -919,10 +910,6 @@ impl DatasetRegistry {
             }
             (Mode::Central(total_epsilon), Some(persistence)) => {
                 let total_epsilon = *total_epsilon;
-                let mut manifest = persistence
-                    .manifest
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
                 // One name, one accountant: if this name's ledger is still alive (an
                 // unregistered entry held by in-flight queries), adopt the WHOLE
                 // accounting state — ledger, journal, and served counter. Sharing only
@@ -984,26 +971,20 @@ impl DatasetRegistry {
                 // A *changed* shard count on re-registration is allowed and recorded:
                 // re-partitioning never changes released bytes (property-tested), so
                 // unlike the budget or the data it is a free operational knob.
-                let mut updated = manifest.clone();
-                updated.upsert(ManifestEntry {
-                    name: name.clone(),
-                    path: source.clone(),
-                    epsilon: total_epsilon,
-                    transactions,
-                    fingerprint,
-                    shards,
-                    workers: workers.clone(),
-                    ldp: None,
-                    consistency: recorded_consistency,
-                });
-                persistence
-                    .state
-                    .store_manifest(&updated)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                // Only commit the shared in-memory image once the bytes are on disk: a
-                // failed store must not leave a phantom entry that the next successful
-                // registration would silently persist.
-                *manifest = updated;
+                persistence.update_manifest(|manifest| {
+                    manifest.upsert(ManifestEntry {
+                        name: name.clone(),
+                        path: source.clone(),
+                        epsilon: total_epsilon,
+                        transactions,
+                        fingerprint,
+                        shards,
+                        workers: workers.clone(),
+                        ldp: None,
+                        consistency: recorded_consistency,
+                    });
+                    true
+                })?;
                 (PrivacyMode::Central(ledger), queries_served, Some(journal))
             }
         };
@@ -1120,21 +1101,9 @@ impl DatasetRegistry {
             .get(name)
             .ok_or_else(|| RegistryError::NotFound(name.to_string()))?;
         if let Some(persistence) = &self.persistence {
-            let mut manifest = persistence
-                .manifest
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(recorded) = manifest.get(name) {
-                let mut manifest_entry = recorded.clone();
-                manifest_entry.consistency = enabled;
-                let mut updated = manifest.clone();
-                updated.upsert(manifest_entry);
-                persistence
-                    .state
-                    .store_manifest(&updated)
-                    .map_err(|e| RegistryError::Io(e.to_string()))?;
-                *manifest = updated;
-            }
+            persistence.update_manifest(|manifest| {
+                edit_recorded(manifest, name, |recorded| recorded.consistency = enabled)
+            })?;
         }
         // Flip the live knob only after the manifest write succeeded: a failed store
         // must not leave disk and memory disagreeing about what queries do.
@@ -1155,19 +1124,10 @@ impl DatasetRegistry {
             )
         })?;
         let every = every.max(1);
-        {
-            let mut manifest = persistence
-                .manifest
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let mut updated = manifest.clone();
-            updated.snapshot_every = Some(every);
-            persistence
-                .state
-                .store_manifest(&updated)
-                .map_err(|e| RegistryError::Io(e.to_string()))?;
-            *manifest = updated;
-        }
+        persistence.update_manifest(|manifest| {
+            manifest.snapshot_every = Some(every);
+            true
+        })?;
         persistence.state.set_snapshot_every(every);
         // Retune the journals that are already open; new opens pick the value up
         // from the state dir.
@@ -1218,6 +1178,21 @@ impl DatasetRegistry {
             .write()
             .unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// Edits `name`'s manifest row in place; `false` (nothing to store) when none is
+/// recorded.
+fn edit_recorded(
+    manifest: &mut Manifest,
+    name: &str,
+    edit: impl FnOnce(&mut ManifestEntry),
+) -> bool {
+    let Some(mut recorded) = manifest.get(name).cloned() else {
+        return false;
+    };
+    edit(&mut recorded);
+    manifest.upsert(recorded);
+    true
 }
 
 /// Partitions `db` into `shards` row shards and, when a placement is given, dials and

@@ -1,6 +1,8 @@
 //! Deterministic fault-injection tests over the persistence seams: the manifest's
 //! atomic rewrite failed at every step, journal appends and fsyncs failing under a
-//! live ledger, and the degraded read-only mode a wedged journal triggers.
+//! live ledger, and the degraded read-only mode a wedged journal triggers. Over the
+//! shard fabric: a failed leg fails the query closed, and a θ mined across the
+//! failure is not memoized.
 //!
 //! These tests do real injection, so they are effective only under
 //! `cargo test --features fault-inject`; default builds compile the sites out and the
@@ -13,9 +15,11 @@ use pb_fim::TransactionDb;
 use pb_proto::{ClientError, ErrorCode, PbClient};
 use pb_service::protocol::dataset_status;
 use pb_service::{DataSource, DatasetRegistry, PbServer, RegisterSpec, ServiceConfig, StateDir};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// Serializes the tests (the fault registry is process-global).
 static GATE: Mutex<()> = Mutex::new(());
@@ -195,19 +199,7 @@ fn a_fabric_failure_mid_query_fails_closed_before_the_debit() {
 
     // A real shard worker and a real coordinator, in-process: one of the dataset's
     // two shards is placed on the worker, the other stays local.
-    let worker = PbServer::bind(
-        "127.0.0.1:0",
-        Arc::new(DatasetRegistry::new()),
-        ServiceConfig {
-            worker: true,
-            threads: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let worker_addr = worker.local_addr().unwrap();
-    let worker_thread = std::thread::spawn(move || worker.run());
-
+    let (worker_addr, worker_thread) = spawn_server(Arc::new(DatasetRegistry::new()), true);
     let registry = Arc::new(DatasetRegistry::new());
     registry
         .register_spec(RegisterSpec {
@@ -217,17 +209,7 @@ fn a_fabric_failure_mid_query_fails_closed_before_the_debit() {
         })
         .unwrap();
     let entry = registry.get("fab").unwrap();
-    let coordinator = PbServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServiceConfig {
-            threads: 2,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let coordinator_addr = coordinator.local_addr().unwrap();
-    let coordinator_thread = std::thread::spawn(move || coordinator.run());
+    let (coordinator_addr, coordinator_thread) = spawn_server(Arc::clone(&registry), false);
     let mut client = PbClient::connect(coordinator_addr).unwrap();
 
     // Healthy fabric: the pinned-seed query releases and debits.
@@ -271,4 +253,91 @@ fn a_fabric_failure_mid_query_fails_closed_before_the_debit() {
     PbClient::connect(worker_addr).unwrap().shutdown().unwrap();
     worker_thread.join().unwrap().unwrap();
     pb_fault::clear();
+}
+
+#[test]
+fn a_theta_mined_during_a_fabric_failure_is_not_memoized() {
+    if !pb_fault::is_compiled() {
+        return;
+    }
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    pb_fault::clear();
+
+    // Nested rows: item j is in a (20 − 2j)/20 share of them, so pair supports sit on
+    // the item ladder and θ moves λ. The same rows are served twice: over two shards,
+    // one on a worker, and all local.
+    let nested = || {
+        TransactionDb::from_transactions(
+            (0..40usize)
+                .map(|i| {
+                    (0..8u32)
+                        .filter(|&j| i % 20 < 20 - 2 * j as usize)
+                        .collect()
+                })
+                .collect::<Vec<Vec<u32>>>(),
+        )
+    };
+    let (worker_addr, worker_thread) = spawn_server(Arc::new(DatasetRegistry::new()), true);
+    let registry = Arc::new(DatasetRegistry::new());
+    registry
+        .register_spec(RegisterSpec {
+            shards: Some(2),
+            workers: vec![worker_addr.to_string()],
+            ..RegisterSpec::central("fab", DataSource::Rows(nested()), Epsilon::Finite(100.0))
+        })
+        .unwrap();
+    registry
+        .register("local", nested(), Epsilon::Finite(100.0))
+        .unwrap();
+    let entry = registry.get("fab").unwrap();
+    let (coordinator_addr, coordinator_thread) = spawn_server(Arc::clone(&registry), false);
+    let mut client = PbClient::connect(coordinator_addr).unwrap();
+
+    // The first query for k = 3 (k1 = 4) mines θ with the fabric down: the remote
+    // half of each pair count reads as zero, so the θ it mines is wrong.
+    pb_fault::arm("fabric.write=fail-prob:1,fabric.connect=fail-prob:1").unwrap();
+    let err = match client.query("fab", 3, 8.0, Some(5)) {
+        Err(ClientError::Server(e)) => e,
+        other => panic!("a fabric failure while mining θ must fail the query, got {other:?}"),
+    };
+    assert_eq!(err.code, ErrorCode::Unavailable);
+    assert_eq!(
+        entry.context().theta_cache_len(),
+        0,
+        "a θ mined across a fabric failure was memoized"
+    );
+
+    // Healed, the same k and seed mine θ afresh and release what all-local rows do.
+    pb_fault::clear();
+    let healed = client.query("fab", 3, 8.0, Some(5)).unwrap();
+    let local = client.query("local", 3, 8.0, Some(5)).unwrap();
+    assert_eq!(healed.lambda, local.lambda);
+    assert_eq!(healed.itemsets, local.itemsets);
+    assert_eq!(entry.context().theta_cache_len(), 1);
+
+    client.shutdown().unwrap();
+    coordinator_thread.join().unwrap().unwrap();
+    PbClient::connect(worker_addr).unwrap().shutdown().unwrap();
+    worker_thread.join().unwrap().unwrap();
+    pb_fault::clear();
+}
+
+/// Binds an in-process server on an ephemeral port (a shard worker when `worker`) and
+/// runs it on a thread until a client sends `shutdown`.
+fn spawn_server(
+    registry: Arc<DatasetRegistry>,
+    worker: bool,
+) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    let server = PbServer::bind(
+        "127.0.0.1:0",
+        registry,
+        ServiceConfig {
+            worker,
+            threads: 2,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    (addr, std::thread::spawn(move || server.run()))
 }

@@ -10,7 +10,8 @@
 //! * [`ShardedDb`] — the partitioned dataset: one `TransactionDb` + lazily built
 //!   `VerticalIndex` per shard, with fan-out/merge implementations of every counting
 //!   primitive the PrivBasis pipeline touches (item supports, candidate supports, pair
-//!   counts, `BasisFreq` bin histograms, and the θ anchor via a best-first lattice walk).
+//!   counts, `BasisFreq` bin histograms, and the θ anchor via `pb-fim`'s best-first
+//!   top-`k` walk over shard-merged counts).
 //!   Each count op fans out one leg per shard on the process-wide counting pool
 //!   ([`pb_fim::pool`]), within the workspace thread budget, and collects the results
 //!   in shard order so merges never depend on scheduling.

@@ -1,140 +1,55 @@
-//! Sharded θ-candidate counting: the support of the `k`-th most frequent itemset.
+//! Sharded θ: the support of the `k`-th most frequent itemset.
 //!
 //! PrivBasis' step 1 anchors λ on θ, the frequency of the (η·k)-th most frequent
-//! itemset. The unsharded engine obtains it by mining the whole database
-//! (`pb_fim::topk::top_k_itemsets`); a sharded dataset has no whole database to mine, so
-//! this module finds the same number by *candidate counting*: candidate supports are
-//! exact shard-merged counts ([`ShardedDb::support`]).
+//! itemset. A sharded dataset has no whole database to mine, so θ comes from the one
+//! exact top-`k` miner, [`pb_fim::topk::best_first_top_k`], run over the merged item
+//! ranking with exact shard-merged counts ([`ShardedDb::support`]) as its oracle. The
+//! walk counts only the candidates whose optimistic bound reaches the top of its heap,
+//! over the items that can occur in a top-`k` itemset, so each count is one fan-out
+//! across the shards (one RPC per remote shard).
 //!
-//! The walk is exact, not approximate, and lazily so. Itemsets are generated by
-//! extending each set with items greater than its maximum (every itemset has exactly one
-//! generation path, from its prefixes), and support is antitone under extension —
-//! `supp(X ∪ {i}) ≤ min(supp(X), supp({i}))`. The max-heap therefore holds two kinds of
-//! entries: *exact* ones (support counted across shards) and *bound* ones (keyed by that
-//! free optimistic bound, support not yet counted). Popping a bound entry converts it to
-//! exact and re-inserts it; popping an exact entry emits it — at that moment its key
-//! dominates every other key in the heap, and every key dominates the true support of
-//! every itemset it transitively covers, so exact entries pop in non-increasing true
-//! support order and the `k`-th emission *is* the `k`-th largest support. The lazy
-//! two-step is what keeps the walk cheap on wide item universes: extensions enter the
-//! heap for free, and exact (shard-fanned) counting is paid only by candidates that
-//! actually reach the top — most of the universe never does.
-//!
-//! The support multiset is a property of the data alone, hence the emitted value agrees
-//! with any other exact miner, fpgrowth included — which is what makes the sharded
-//! pipeline byte-identical to the unsharded one.
+//! The support multiset is a property of the data alone, hence the value agrees with
+//! any other exact miner, fpgrowth included, for any shard count: which is what makes
+//! the sharded pipeline byte-identical to the unsharded one.
 
 use crate::sharded::ShardedDb;
-use pb_fim::itemset::ItemSet;
-use std::collections::BinaryHeap;
-
-/// A frontier entry: ordered by key (exact support, or an upper bound) descending, ties
-/// preferring exact entries (so an emission never waits behind an equal bound), then
-/// ascending (length, itemset) so the pop order — not just the pop *values* — is
-/// deterministic.
-#[derive(Debug, PartialEq, Eq)]
-struct Entry {
-    /// Exact support when `exact`, else `min(supp(parent), supp({new item}))` — an
-    /// upper bound on the true support.
-    key: usize,
-    exact: bool,
-    items: ItemSet,
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| self.exact.cmp(&other.exact))
-            .then_with(|| other.items.len().cmp(&self.items.len()))
-            .then_with(|| other.items.cmp(&self.items))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use pb_fim::topk::best_first_top_k;
 
 impl ShardedDb {
     /// The exact support count of the `k`-th most frequent itemset, or of the rarest
     /// itemset when fewer than `k` have non-zero support, or `0.0` when no itemset does
-    /// — the same contract as the θ anchor computed from `top_k_itemsets` on an
-    /// unsharded database, returned as `f64` because that is how step 1 consumes it.
+    /// (or `k = 0`), returned as `f64` because that is how step 1 consumes it.
     pub fn kth_support_count(&self, k: usize) -> f64 {
-        if k == 0 || self.is_empty() {
-            return 0.0;
-        }
-        // Extension universe with singleton supports, ascending by item; only items
-        // that occur at all can appear in an itemset with non-zero support.
-        let universe: Vec<(u32, usize)> = self
-            .item_counts()
-            .iter()
-            .filter(|&&(_, count)| count > 0)
-            .copied()
-            .collect();
-        let mut heap: BinaryHeap<Entry> = universe
-            .iter()
-            .map(|&(item, count)| Entry {
-                key: count,
-                exact: true,
-                items: ItemSet::singleton(item),
-            })
-            .collect();
-        let mut emitted = 0usize;
-        let mut last = 0.0f64;
-        while let Some(entry) = heap.pop() {
-            if !entry.exact {
-                // Lazily pay the shard-fanned exact count only now that the bound has
-                // reached the top; re-insert under the (≤ bound) exact key.
-                let exact = self.support(&entry.items);
-                if exact > 0 {
-                    heap.push(Entry {
-                        key: exact,
-                        exact: true,
-                        items: entry.items,
-                    });
-                }
-                continue;
-            }
-            emitted += 1;
-            last = entry.key as f64;
-            if emitted == k {
-                return last;
-            }
-            // Extend with every universe item above the max (one generation path per
-            // itemset), keyed by the free optimistic bound — no counting yet.
-            let max = *entry.items.items().last().expect("entries are non-empty");
-            let start = match universe.binary_search_by_key(&max, |&(item, _)| item) {
-                Ok(i) => i + 1,
-                Err(i) => i,
-            };
-            for &(item, singleton_count) in &universe[start..] {
-                heap.push(Entry {
-                    key: entry.key.min(singleton_count),
-                    exact: false,
-                    items: entry.items.with_item(item),
-                });
-            }
-        }
-        last
+        best_first_top_k(self.items_by_frequency(), k, None, |itemset| {
+            self.support(itemset)
+        })
+        .last()
+        .map_or(0.0, |top| top.count as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pb_fim::topk::top_k_itemsets;
+    use pb_fim::fpgrowth::fpgrowth;
     use pb_fim::TransactionDb;
 
+    /// The θ oracle: fpgrowth's ranking read at rank `k` (the rarest itemset when fewer
+    /// than `k` exist). `k` itemsets reaching the `k`-th largest item support exist
+    /// when that many items do, so mining at that threshold keeps the first `k`; the
+    /// full ranking is mined only when it does not.
     fn reference_kth(db: &TransactionDb, k: usize) -> f64 {
-        let top = top_k_itemsets(db, k, None);
-        if top.len() >= k {
-            top[k - 1].count as f64
-        } else {
-            top.last().map(|f| f.count as f64).unwrap_or(0.0)
+        let ranking = db.items_by_frequency();
+        let s_k = ranking[..k.min(ranking.len())]
+            .last()
+            .map_or(1, |&(_, c)| c);
+        let mut all = fpgrowth(db, s_k, None);
+        if all.len() < k {
+            all = fpgrowth(db, 1, None);
         }
+        all[..k.min(all.len())]
+            .last()
+            .map_or(0.0, |f| f.count as f64)
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example threshold_release`
 
 use privbasis::datagen::DatasetProfile;
-use privbasis::fim::topk::itemsets_above_threshold;
+use privbasis::fim::fpgrowth::fpgrowth_by_frequency;
 use privbasis::metrics::{false_negative_rate, relative_error, PublishedItemset};
 use privbasis::{Epsilon, PrivBasis};
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ fn main() {
     );
 
     // Reduction: k = number of itemsets with frequency >= theta.
-    let frequent = itemsets_above_threshold(&db, theta, None);
+    let frequent = fpgrowth_by_frequency(&db, theta, None);
     let k = frequent.len();
     println!("θ = {theta}: {k} itemsets are θ-frequent (this becomes k)\n");
     if k == 0 {

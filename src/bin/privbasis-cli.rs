@@ -1133,7 +1133,7 @@ fn run_ldp(
 
 /// Sweeps the ε × k grid and scores every release against the exact top-`k`.
 /// With `--ldp` each cell is scored through both trust models.
-fn eval_grid(options: &EvalOptions, db: &TransactionDb) -> Result<Vec<EvalCell>, String> {
+fn eval_grid(options: &EvalOptions, db: &Arc<TransactionDb>) -> Result<Vec<EvalCell>, String> {
     use privbasis::metrics::{f1_score, precision, recall, Summary};
     let channel = if options.ldp {
         // ε_local is filled per cell; validate the shape once up front.
@@ -1267,7 +1267,8 @@ fn eval_json(options: &EvalOptions, db: &TransactionDb, cells: &[EvalCell]) -> S
 /// Runs the utility harness: table to stdout, JSON grid to `--out`.
 fn eval(options: &EvalOptions) -> Result<(), String> {
     let db = read_fimi_file(&options.input)
-        .map_err(|e| format!("failed to read {}: {e}", options.input))?;
+        .map_err(|e| format!("failed to read {}: {e}", options.input))?
+        .into_shared();
     if db.is_empty() {
         return Err(format!("{} contains no transactions", options.input));
     }
@@ -1308,10 +1309,14 @@ fn eval(options: &EvalOptions) -> Result<(), String> {
 }
 
 /// The counting context a PrivBasis release runs on: `db`'s rows over `shards` row
-/// shards (one when unset). Per-shard counts merge by summation and the noise is drawn
-/// once on the merged counts, so the shard count never changes a released byte.
-fn pb_context(db: &TransactionDb, shards: Option<usize>) -> QueryContext {
-    QueryContext::sharded(ShardedDb::partition(db, shards.unwrap_or(1)).into_shared())
+/// shards (one when unset). One shard adopts the rows rather than copying them; more
+/// copy them into contiguous blocks. Per-shard counts merge by summation and the noise
+/// is drawn once on the merged counts, so the shard count never changes a released byte.
+fn pb_context(db: &Arc<TransactionDb>, shards: Option<usize>) -> QueryContext {
+    match shards {
+        None | Some(1) => QueryContext::new(Arc::clone(db)),
+        Some(shards) => QueryContext::sharded(ShardedDb::partition(db, shards).into_shared()),
+    }
 }
 
 /// One central release of `options` over `db`. A PrivBasis release runs on `context`
@@ -1319,7 +1324,7 @@ fn pb_context(db: &TransactionDb, shards: Option<usize>) -> QueryContext {
 /// otherwise on a context built here from `--shards`.
 fn run(
     options: &Options,
-    db: &TransactionDb,
+    db: &Arc<TransactionDb>,
     context: Option<&QueryContext>,
 ) -> Result<Vec<(ItemSet, f64)>, String> {
     let epsilon = Epsilon::new(options.epsilon).map_err(|e| e.to_string())?;
@@ -1437,7 +1442,7 @@ fn main() -> ExitCode {
     };
 
     let db = match read_fimi_file(&options.input) {
-        Ok(db) => db,
+        Ok(db) => db.into_shared(),
         Err(e) => {
             eprintln!("failed to read {}: {e}", options.input);
             return ExitCode::FAILURE;
@@ -1919,7 +1924,7 @@ mod tests {
             ldp_pad: None,
         };
         eval(&options).unwrap();
-        let db = read_fimi_file(&input).unwrap();
+        let db = read_fimi_file(&input).unwrap().into_shared();
         let cells = eval_grid(&options, &db).unwrap();
         assert_eq!(cells.len(), 1);
         assert!((cells[0].f1.mean - 1.0).abs() < 1e-9);
@@ -2081,7 +2086,7 @@ mod tests {
             ldp_pad: None,
         };
         eval(&options).unwrap();
-        let db = read_fimi_file(&input).unwrap();
+        let db = read_fimi_file(&input).unwrap().into_shared();
         let cells = eval_grid(&options, &db).unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].mode, "central");
@@ -2187,7 +2192,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("pb_cli_test_{}.dat", std::process::id()));
         std::fs::write(&path, "1 2 3\n1 2\n1 2 3\n2 3\n1 2\n").unwrap();
-        let db = read_fimi_file(&path).unwrap();
+        let db = read_fimi_file(&path).unwrap().into_shared();
 
         let base = Options {
             input: path.to_string_lossy().into_owned(),
@@ -2219,6 +2224,9 @@ mod tests {
         assert_eq!(pb, pb_sharded);
         let held = pb_context(&db, None);
         assert_eq!(pb, run(&base, &db, Some(&held)).unwrap());
+        // Unsharded, the context adopts the caller's rows: one copy stays resident.
+        let adopted = held.sharded_db().expect("every context is sharded");
+        assert!(Arc::ptr_eq(adopted.shards()[0].db(), &db));
 
         let tf = run(
             &Options {
