@@ -5,21 +5,38 @@
 //! record — trace id, dataset, ε, `k`, a hash of the seed (never the seed itself: the
 //! seed reproduces the noise, so logging it would turn the audit trail into a noise
 //! oracle), outcome, and a wall-clock timestamp — to an append-only `audit.jsonl` in
-//! the state directory, fsynced per record through the same fault-injection seams the
-//! journal uses (`audit.append`, `audit.fsync`).
+//! the state directory.
+//!
+//! # Durability
+//!
+//! A record is written to the file (one `write`, line and newline together) before the
+//! query's reply leaves, so a `kill -9` of the server loses nothing: the line is in the
+//! OS page cache. It is made durable by a **group flush**: the same rendezvous the
+//! journal uses ([`crate::persist::GroupFlush`]), driven by one background flusher
+//! thread per on-disk log, so the reply path never waits on the disk. The flusher wakes
+//! when a line is staged and covers every line staged before its fsync began with that
+//! one fsync. Both seams are fault sites: `audit.append` (the write) and `audit.fsync`.
+//! [`AuditLog::flush`] waits for durability; recovery's `reconciled` records, the
+//! `shutdown` op and `Drop` use it, so a clean stop leaves every record on disk.
+//!
+//! A power loss can therefore drop only the tail written since the last group flush.
+//! That is safe for the ε accounting: the journal is authoritative and is made durable
+//! *before* the release, so the ε of a lost `released` line is re-carried by
+//! reconciliation (below). Lost `refused` and `failed-closed` lines spent no ε; only
+//! their counts are gone.
 //!
 //! On restart the log is replayed (tolerating a torn final line from a crash
 //! mid-append) so lifetime counts survive the process, and the replayed per-dataset
 //! released-ε sums are **reconciled** against the debit journal: the journal is
 //! authoritative (it is written *before* release), so if a crash landed between the
-//! debit commit and the audit append, recovery appends a `reconciled` record carrying
-//! the missing ε. After reconciliation the audit log's released-ε total for a dataset
-//! equals the journal's spent ε.
+//! debit commit and the audit append, or a power loss took the unflushed tail, recovery
+//! appends a `reconciled` record carrying the missing ε. After reconciliation the audit
+//! log's released-ε total for a dataset equals the journal's spent ε.
 //!
-//! A failed append **wedges** the audit file (one structured stderr line, no further
-//! writes) but never blocks a release: the ε debit itself was already durable in the
-//! journal, so the privacy guarantee does not depend on this log. Lifetime counters
-//! keep advancing in memory while wedged — the degraded state is visible in
+//! A failed write or fsync **wedges** the audit file (one structured stderr line, no
+//! further writes) but never blocks a release: the ε debit itself was already durable
+//! in the journal, so the privacy guarantee does not depend on this log. Lifetime
+//! counters keep advancing in memory while wedged — the degraded state is visible in
 //! `/metrics` (`pb_audit_wedged`).
 
 use std::collections::BTreeMap;
@@ -27,10 +44,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 use pb_proto::Json;
-use pb_trace::escape_json;
+use pb_trace::{escape_json, HistogramSnapshot};
+
+use crate::persist::GroupFlush;
 
 /// File name of the audit log inside a state directory. The stem starts with a letter,
 /// so it can never collide with a dataset's files ([`crate::persist::StateDir`] rejects
@@ -97,10 +117,11 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
+    /// The record as one `audit.jsonl` line, newline included.
     fn to_json_line(&self) -> String {
         format!(
             "{{\"trace\":\"{}\",\"dataset\":\"{}\",\"epsilon\":{},\"k\":{},\
-             \"seed_hash\":{},\"outcome\":\"{}\",\"ts_ms\":{}}}",
+             \"seed_hash\":{},\"outcome\":\"{}\",\"ts_ms\":{}}}\n",
             escape_json(&self.trace),
             escape_json(&self.dataset),
             self.epsilon,
@@ -175,11 +196,33 @@ impl Totals {
 /// [`AuditLog::is_wedged`], never bubbled into the query path.
 #[derive(Debug)]
 pub struct AuditLog {
-    /// `None` for an in-memory server (no state dir) or after a wedge.
-    file: Mutex<Option<File>>,
     path: Option<PathBuf>,
-    wedged: AtomicBool,
+    /// Latched by the first failed write or fsync (shared with the flusher thread).
+    wedged: Arc<AtomicBool>,
     totals: Mutex<Totals>,
+    /// The file and its flusher; `None` for an in-memory log.
+    disk: Option<AuditFile>,
+}
+
+/// The on-disk side of an [`AuditLog`].
+#[derive(Debug)]
+struct AuditFile {
+    /// Opened in append mode: each line is one `write`, which lands whole at the end
+    /// of the file, so concurrent appends need no lock.
+    file: Arc<File>,
+    flush: Arc<GroupFlush>,
+    /// The background flusher, joined on drop.
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// Latches the wedge; the first failure prints one structured stderr line.
+fn wedge(wedged: &AtomicBool, error: &io::Error) {
+    if !wedged.swap(true, Ordering::Relaxed) {
+        eprintln!(
+            "{{\"event\":\"audit_wedged\",\"error\":\"{}\"}}",
+            escape_json(&error.to_string())
+        );
+    }
 }
 
 impl AuditLog {
@@ -187,14 +230,15 @@ impl AuditLog {
     /// the process. What a server without `--state-dir` gets.
     pub fn in_memory() -> AuditLog {
         AuditLog {
-            file: Mutex::new(None),
             path: None,
-            wedged: AtomicBool::new(false),
+            wedged: Arc::new(AtomicBool::new(false)),
             totals: Mutex::new(Totals::default()),
+            disk: None,
         }
     }
 
-    /// Opens (creating if absent) `audit.jsonl` under `dir` and replays it.
+    /// Opens (creating if absent) `audit.jsonl` under `dir`, replays it, and starts
+    /// its background flusher.
     ///
     /// Replay is crash-tolerant: a torn final line (no trailing newline, or
     /// unparseable) is ignored — its record never happened as far as the totals are
@@ -232,18 +276,30 @@ impl AuditLog {
             file.write_all(b"\n")?;
             file.sync_data()?;
         }
+        let file = Arc::new(file);
+        let flush = GroupFlush::new(Arc::clone(&file), || pb_fault::inject!("audit.fsync"));
+        let wedged = Arc::new(AtomicBool::new(false));
+        let flusher = {
+            let flush = Arc::clone(&flush);
+            let wedged = Arc::clone(&wedged);
+            std::thread::Builder::new()
+                .name("pb-audit-flush".to_string())
+                .spawn(move || {
+                    if let Err(e) = flush.run_flusher() {
+                        wedge(&wedged, &e);
+                    }
+                })?
+        };
         Ok(AuditLog {
-            file: Mutex::new(Some(file)),
             path: Some(path),
-            wedged: AtomicBool::new(false),
-            totals: Mutex::new(Totals::default()),
-        }
-        .with_totals(totals))
-    }
-
-    fn with_totals(self, totals: Totals) -> AuditLog {
-        *self.totals.lock().unwrap_or_else(PoisonError::into_inner) = totals;
-        self
+            wedged,
+            totals: Mutex::new(totals),
+            disk: Some(AuditFile {
+                file,
+                flush,
+                flusher: Some(flusher),
+            }),
+        })
     }
 
     /// The on-disk path (`None` for an in-memory log).
@@ -251,10 +307,20 @@ impl AuditLog {
         self.path.as_deref()
     }
 
-    /// True once an append or fsync failed and the file was abandoned. In-memory
+    /// True once a write or fsync failed and the file was abandoned. In-memory
     /// counters keep advancing; only durability is lost.
     pub fn is_wedged(&self) -> bool {
         self.wedged.load(Ordering::Relaxed)
+            || self
+                .disk
+                .as_ref()
+                .is_some_and(|disk| disk.flush.is_wedged())
+    }
+
+    /// The background flusher's fsync durations and the records they made durable
+    /// (`None` for an in-memory log).
+    pub fn flush_stats(&self) -> Option<(HistogramSnapshot, u64)> {
+        self.disk.as_ref().map(|disk| disk.flush.stats())
     }
 
     /// Lifetime released-query count (replayed + this process).
@@ -286,33 +352,39 @@ impl AuditLog {
         self.totals.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends one record: totals first (always), then the durable line (best
-    /// effort). The write and its fsync run behind `pb_fault` seams so the chaos
-    /// harness can prove a dying audit log never blocks a release.
+    /// Appends one record: totals first (always), then the line, written to the file
+    /// in one `write` (best effort) and staged for the background flusher. Returns
+    /// without waiting for the fsync. The write runs behind the `audit.append` fault
+    /// seam so the chaos harness can prove a dying audit log never blocks a release.
     pub fn append(&self, record: &AuditRecord) {
         self.totals().absorb(record);
-        let mut guard = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(file) = guard.as_mut() else {
+        let Some(disk) = &self.disk else {
             return;
         };
         let line = record.to_json_line();
-        let written = (|| {
-            pb_fault::inject!("audit.append")?;
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-            pb_fault::inject!("audit.fsync")?;
-            file.sync_data()
-        })();
-        if let Err(e) = written {
-            // Wedge: drop the handle so no later append interleaves half-written
-            // lines after the failure point. The release path never sees this error —
-            // the ε guarantee lives in the debit journal, which is already durable.
-            *guard = None;
-            self.wedged.store(true, Ordering::Relaxed);
-            eprintln!(
-                "{{\"event\":\"audit_wedged\",\"error\":\"{}\"}}",
-                escape_json(&e.to_string())
-            );
+        if self.wedged.load(Ordering::Relaxed) {
+            return;
+        }
+        match pb_fault::inject!("audit.append")
+            .and_then(|()| (&*disk.file).write_all(line.as_bytes()))
+        {
+            Ok(()) => {
+                disk.flush.note_staged();
+            }
+            // Wedge: later appends write nothing, so no line is glued onto a torn one
+            // (an append racing the failure may be; replay skips the glued line and
+            // reconciliation re-carries its ε). The release path never sees this
+            // error — the ε guarantee lives in the debit journal, already durable.
+            Err(e) => wedge(&self.wedged, &e),
+        }
+    }
+
+    /// Blocks until every record appended so far is durable, or the log is wedged.
+    /// Returns at once for an in-memory log.
+    pub fn flush(&self) {
+        if let Some(disk) = &self.disk {
+            // A failure is the flusher's to report: it wedged the log already.
+            let _ = disk.flush.wait_durable(u64::MAX);
         }
     }
 
@@ -341,6 +413,7 @@ impl AuditLog {
             ts_ms,
         };
         self.append(&record);
+        self.flush();
         self.totals()
             .released_eps
             .insert(dataset.to_string(), journal_spent);
@@ -355,6 +428,19 @@ impl AuditLog {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0)
+    }
+}
+
+impl Drop for AuditLog {
+    /// Lets the flusher drain (every appended record durable, unless wedged) and joins
+    /// it.
+    fn drop(&mut self) {
+        if let Some(disk) = &mut self.disk {
+            disk.flush.close();
+            if let Some(flusher) = disk.flusher.take() {
+                let _ = flusher.join();
+            }
+        }
     }
 }
 
@@ -456,12 +542,41 @@ mod tests {
     }
 
     #[test]
+    fn appends_are_written_at_once_and_flushed_in_the_background() {
+        let scratch = Scratch::new("flush");
+        let path = scratch.0.join(AUDIT_FILE);
+        let log = AuditLog::open(&scratch.0).unwrap();
+        for i in 0..3 {
+            log.append(&released(&format!("t{i}"), "d", 0.25));
+            // Written before `append` returns: the line is in the file already, whole.
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().count(), i + 1, "{text}");
+            assert!(text.ends_with('\n'));
+        }
+        log.flush();
+        let (fsyncs, records) = log.flush_stats().unwrap();
+        assert_eq!(
+            records, 3,
+            "every staged line is made durable by the flusher"
+        );
+        assert!(fsyncs.count >= 1 && fsyncs.count <= 3, "{fsyncs:?}");
+        assert!(!log.is_wedged());
+        // Drop drains and joins the flusher: a reopen sees every record.
+        log.append(&released("t3", "d", 0.25));
+        drop(log);
+        let log = AuditLog::open(&scratch.0).unwrap();
+        assert_eq!(log.released(), 4);
+    }
+
+    #[test]
     fn in_memory_log_counts_without_touching_disk() {
         let log = AuditLog::in_memory();
         assert_eq!(log.path(), None);
         log.append(&released("t", "d", 0.5));
         assert_eq!(log.released(), 1);
         assert!(!log.is_wedged());
+        assert!(log.flush_stats().is_none(), "no file, no flusher");
+        log.flush();
     }
 
     #[test]

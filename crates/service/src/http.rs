@@ -630,6 +630,22 @@ fn render_metrics(ctx: &ServerCtx) -> String {
         "gauge",
         u8::from(ctx.audit.is_wedged()).to_string(),
     );
+    // The durable audit log's background flusher: where the audit fsync went.
+    if let Some((fsyncs, records)) = ctx.audit.flush_stats() {
+        gauge(
+            &mut out,
+            "pb_audit_records_flushed_total",
+            "Audit records made durable by the background flusher's fsyncs.",
+            "counter",
+            records.to_string(),
+        );
+        let name = "pb_audit_flush_duration_seconds";
+        out.push_str(&format!(
+            "# HELP {name} Duration of the audit log's background group fsyncs.\n\
+             # TYPE {name} histogram\n"
+        ));
+        render_histogram_samples(&mut out, name, "", &fsyncs);
+    }
 
     // Latency histograms, rendered from the hand-rolled fixed-bucket snapshots.
     render_histogram_family(
@@ -671,26 +687,34 @@ fn render_histogram_family(
     }
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
     for (label_value, snap) in snapshots {
-        let label_value = escape_label(label_value);
-        for (bound_us, cumulative) in snap.bounds_us.iter().zip(&snap.cumulative) {
-            out.push_str(&format!(
-                "{name}_bucket{{{label_key}=\"{label_value}\",le=\"{}\"}} {cumulative}\n",
-                format_value(*bound_us as f64 / 1e6),
-            ));
-        }
+        let label = format!("{label_key}=\"{}\"", escape_label(label_value));
+        render_histogram_samples(out, name, &label, snap);
+    }
+}
+
+/// Renders one histogram series' samples; `label` is its rendered label pair (`""` for
+/// an unlabeled histogram).
+fn render_histogram_samples(out: &mut String, name: &str, label: &str, snap: &HistogramSnapshot) {
+    let (le_prefix, block) = if label.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{label},"), format!("{{{label}}}"))
+    };
+    for (bound_us, cumulative) in snap.bounds_us.iter().zip(&snap.cumulative) {
         out.push_str(&format!(
-            "{name}_bucket{{{label_key}=\"{label_value}\",le=\"+Inf\"}} {}\n",
-            snap.count
-        ));
-        out.push_str(&format!(
-            "{name}_sum{{{label_key}=\"{label_value}\"}} {}\n",
-            format_value(snap.sum_seconds())
-        ));
-        out.push_str(&format!(
-            "{name}_count{{{label_key}=\"{label_value}\"}} {}\n",
-            snap.count
+            "{name}_bucket{{{le_prefix}le=\"{}\"}} {cumulative}\n",
+            format_value(*bound_us as f64 / 1e6),
         ));
     }
+    out.push_str(&format!(
+        "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {}\n",
+        snap.count
+    ));
+    out.push_str(&format!(
+        "{name}_sum{block} {}\n",
+        format_value(snap.sum_seconds())
+    ));
+    out.push_str(&format!("{name}_count{block} {}\n", snap.count));
 }
 
 /// One per-dataset metric family: name, help, type, and `(label, value)` samples.

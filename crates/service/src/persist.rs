@@ -48,7 +48,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// First bytes of a journal file; a version bump changes the magic.
 const WAL_MAGIC: &[u8; 4] = b"PBJ1";
@@ -389,20 +390,32 @@ fn write_atomic(site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
     fsync_dir(dir)
 }
 
-/// The group-commit rendezvous of one journal: staged sequence numbers on one side,
-/// fsyncs on the other.
+/// A group-commit rendezvous over one append-only file: staged sequence numbers on one
+/// side, fsyncs on the other. The debit journal and the audit log both use it.
 ///
-/// Staging (writing a record's bytes into the OS buffer, under the journal lock) hands
+/// Staging (writing a record's bytes into the OS buffer, under the owner's lock) hands
 /// out monotone sequence numbers; [`GroupFlush::commit`] blocks until everything up to a
 /// sequence is durable, electing at most one flusher at a time. Every waiter whose
 /// records were staged before the elected flusher's `fsync` began is covered by that
 /// one `fsync` — under concurrent spending, one disk round trip amortises over the
 /// whole batch instead of serialising each debit at disk latency.
+///
+/// An owner that must not wait on the disk at all (the audit log) runs
+/// [`GroupFlush::run_flusher`] on a thread of its own instead: stagers return at once,
+/// and the flusher covers everything staged so far with one fsync per wake-up.
 #[derive(Debug)]
 pub struct GroupFlush {
     file: Arc<File>,
+    /// The fault seam checked before every fsync (`journal.fsync`, `audit.fsync`). A
+    /// function rather than a site name, so with failpoints compiled out no site name
+    /// reaches the binary.
+    fault: fn() -> io::Result<()>,
     state: Mutex<FlushState>,
+    /// Signalled when a flush completes, the flush wedges or closes, and — while a
+    /// background flusher sleeps — when a record is staged.
     done: Condvar,
+    /// Duration of every completed fsync.
+    fsync_us: pb_trace::Histogram,
 }
 
 #[derive(Debug, Default)]
@@ -415,25 +428,48 @@ struct FlushState {
     flushing: bool,
     /// Latched on the first fsync failure: all later commits fail (fail closed).
     wedged: bool,
+    /// True while a background flusher sleeps waiting for a staged record.
+    flusher_idle: bool,
+    /// Set by [`GroupFlush::close`]: the background flusher drains and returns.
+    closed: bool,
+    /// Records made durable by an fsync (not by a snapshot), lifetime.
+    records_flushed: u64,
 }
 
+/// Buckets of the fsync histogram, microseconds: a page-cache fdatasync on local disk
+/// takes tens to hundreds of microseconds, a slow or contended device milliseconds.
+const FSYNC_BUCKETS_US: &[u64] = &[
+    25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000,
+];
+
 impl GroupFlush {
-    fn new(file: Arc<File>) -> Arc<GroupFlush> {
+    /// A rendezvous over `file`; `fault` is the failpoint each fsync checks first.
+    pub(crate) fn new(file: Arc<File>, fault: fn() -> io::Result<()>) -> Arc<GroupFlush> {
         Arc::new(GroupFlush {
             file,
+            fault,
             state: Mutex::new(FlushState::default()),
             done: Condvar::new(),
+            fsync_us: pb_trace::Histogram::new(FSYNC_BUCKETS_US),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlushState> {
+    fn lock(&self) -> MutexGuard<'_, FlushState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Assigns the next sequence number to a fully written record.
-    fn note_staged(&self) -> u64 {
+    fn wait<'a>(&self, st: MutexGuard<'a, FlushState>) -> MutexGuard<'a, FlushState> {
+        self.done.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Assigns the next sequence number to a fully written record, waking a sleeping
+    /// background flusher.
+    pub(crate) fn note_staged(&self) -> u64 {
         let mut st = self.lock();
         st.staged += 1;
+        if st.flusher_idle {
+            self.done.notify_all();
+        }
         st.staged
     }
 
@@ -450,8 +486,15 @@ impl GroupFlush {
         self.done.notify_all();
     }
 
-    fn is_wedged(&self) -> bool {
+    /// True once an fsync failed (or the owner gave the file up): every later commit
+    /// fails.
+    pub(crate) fn is_wedged(&self) -> bool {
         self.lock().wedged
+    }
+
+    /// Completed fsyncs' durations, and the records they made durable (lifetime).
+    pub(crate) fn stats(&self) -> (pb_trace::HistogramSnapshot, u64) {
+        (self.fsync_us.snapshot(), self.lock().records_flushed)
     }
 
     /// Blocks until every record staged at or before `seq` is durable, joining (or
@@ -466,36 +509,97 @@ impl GroupFlush {
                 return Ok(());
             }
             if st.wedged {
-                return Err(io::Error::other(
-                    "journal flush is wedged after an earlier fsync failure; \
-                     restart to recover",
-                ));
+                return Err(wedged_error());
             }
             if st.flushing {
                 // Someone else is fsyncing; their flush may or may not cover us — wake
                 // up and re-check either way.
-                st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = self.wait(st);
                 continue;
             }
             // Become the flusher for everything staged so far (including ourselves —
             // our record was staged before commit was called).
-            st.flushing = true;
-            let target = st.staged;
-            drop(st);
-            let result = pb_fault::inject!("journal.fsync").and_then(|()| self.file.sync_data());
-            st = self.lock();
-            st.flushing = false;
-            match result {
-                Ok(()) => st.durable = st.durable.max(target),
-                Err(e) => {
-                    st.wedged = true;
-                    self.done.notify_all();
-                    return Err(e);
-                }
-            }
-            self.done.notify_all();
+            let (next, result) = self.flush_staged(st);
+            result?;
+            st = next;
         }
     }
+
+    /// The body of a background flusher thread: sleeps until a record is staged past
+    /// the durable mark, then makes everything staged so far durable with one fsync,
+    /// and repeats. Returns `Ok` once [`GroupFlush::close`] was called and every staged
+    /// record is durable, or the error of the fsync that wedged the flush.
+    pub(crate) fn run_flusher(&self) -> io::Result<()> {
+        let mut st = self.lock();
+        loop {
+            if st.wedged {
+                return Err(wedged_error());
+            }
+            if st.staged > st.durable && !st.flushing {
+                let (next, result) = self.flush_staged(st);
+                result?;
+                st = next;
+                continue;
+            }
+            if st.closed && st.staged <= st.durable {
+                return Ok(());
+            }
+            st.flusher_idle = true;
+            st = self.wait(st);
+            st.flusher_idle = false;
+        }
+    }
+
+    /// Blocks until every record staged at or before `seq` is durable, leaving the fsync
+    /// to the background flusher ([`GroupFlush::run_flusher`], which must be running).
+    pub(crate) fn wait_durable(&self, seq: u64) -> io::Result<()> {
+        let mut st = self.lock();
+        let seq = seq.min(st.staged);
+        while st.durable < seq {
+            if st.wedged {
+                return Err(wedged_error());
+            }
+            st = self.wait(st);
+        }
+        Ok(())
+    }
+
+    /// Asks a background flusher to return once everything staged is durable.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.done.notify_all();
+    }
+
+    /// One elected fsync covering every record staged before it began. Takes the state
+    /// lock with no flush in progress and hands it back after the flush.
+    fn flush_staged<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, FlushState>,
+    ) -> (MutexGuard<'a, FlushState>, io::Result<()>) {
+        st.flushing = true;
+        let target = st.staged;
+        drop(st);
+        let started = Instant::now();
+        // audit:allow(failpoint-adjacency): `fault` is the owner's inject! seam (`journal.fsync` or `audit.fsync`), checked first
+        let result = (self.fault)().and_then(|()| self.file.sync_data());
+        let elapsed_us = started.elapsed().as_micros() as u64;
+        let mut st = self.lock();
+        st.flushing = false;
+        match result {
+            Ok(()) => {
+                self.fsync_us.observe_us(elapsed_us);
+                st.records_flushed += target.saturating_sub(st.durable);
+                st.durable = st.durable.max(target);
+            }
+            Err(_) => st.wedged = true,
+        }
+        self.done.notify_all();
+        (st, result)
+    }
+}
+
+fn wedged_error() -> io::Error {
+    io::Error::other("group flush is wedged after an earlier fsync failure; restart to recover")
 }
 
 /// Size and compaction metrics of one journal (the `status` op surfaces these per
@@ -591,7 +695,7 @@ impl DebitJournal {
         pb_fault::inject!("journal.open.fsync")?;
         file.sync_all()?;
         fsync_dir(dir)?;
-        let flush = GroupFlush::new(Arc::clone(&file));
+        let flush = GroupFlush::new(Arc::clone(&file), || pb_fault::inject!("journal.fsync"));
         let mut journal = DebitJournal {
             file,
             wal_path,
@@ -1392,6 +1496,52 @@ mod tests {
         let (state, _) = DebitJournal::open(&scratch.0, "d", 10_000, TEST_TOTAL).unwrap();
         assert!((state.spent - 1.0).abs() < 1e-9, "spent {}", state.spent);
         assert_eq!(state.wal_records, 100);
+    }
+
+    #[test]
+    fn background_flusher_makes_staged_records_durable_until_closed() {
+        let scratch = Scratch::new("bgflush");
+        let file = Arc::new(File::create(scratch.0.join("log")).unwrap());
+        let flush = GroupFlush::new(Arc::clone(&file), || Ok(()));
+        let flusher = {
+            let flush = Arc::clone(&flush);
+            std::thread::spawn(move || flush.run_flusher())
+        };
+        for round in 1..=3u64 {
+            for _ in 0..4 {
+                (&*file).write_all(b"line\n").unwrap();
+                flush.note_staged();
+            }
+            // Waiting leaves the fsync to the flusher, and returns once it covered us.
+            flush.wait_durable(u64::MAX).unwrap();
+            assert_eq!(flush.stats().1, 4 * round);
+        }
+        let (fsyncs, _) = flush.stats();
+        assert!(fsyncs.count >= 3 && fsyncs.count <= 12, "{fsyncs:?}");
+        // Closing drains what is staged, then ends the flusher.
+        (&*file).write_all(b"tail\n").unwrap();
+        flush.note_staged();
+        flush.close();
+        flusher.join().unwrap().unwrap();
+        assert_eq!(flush.stats().1, 13);
+    }
+
+    #[test]
+    fn a_failed_background_fsync_wedges_and_wakes_waiters() {
+        let scratch = Scratch::new("bgwedge");
+        let file = Arc::new(File::create(scratch.0.join("log")).unwrap());
+        let flush = GroupFlush::new(file, || Err(io::Error::other("disk gone")));
+        flush.note_staged();
+        let flusher = {
+            let flush = Arc::clone(&flush);
+            std::thread::spawn(move || flush.run_flusher())
+        };
+        let err = flusher.join().unwrap().unwrap_err();
+        assert_eq!(err.to_string(), "disk gone");
+        assert!(flush.is_wedged());
+        assert!(flush.wait_durable(u64::MAX).is_err());
+        assert!(flush.commit(1).is_err());
+        assert_eq!(flush.stats().1, 0);
     }
 
     #[test]

@@ -248,7 +248,8 @@ impl PbServer {
         // degrades to in-process counters. Opening replays lifetime totals, then each
         // dataset's replayed released-ε is reconciled against its journal — the journal
         // is written before release, so after a crash between debit commit and audit
-        // append the missing ε is re-carried as a `reconciled` record.
+        // append, or a power loss that took the audit log's unflushed tail, the missing
+        // ε is re-carried as a `reconciled` record.
         let audit = Arc::new(match self.registry.state_path() {
             Some(dir) => AuditLog::open(dir)?,
             None => AuditLog::in_memory(),
@@ -620,7 +621,12 @@ pub(crate) fn execute(
 ) -> (Response, bool) {
     match op {
         Op::Status => (status(ctx), false),
-        Op::Shutdown => (Response::Shutdown, true),
+        // The acknowledgement waits for the audit log's pending lines to be durable,
+        // so a client that saw it can cut the power.
+        Op::Shutdown => {
+            ctx.audit.flush();
+            (Response::Shutdown, true)
+        }
         // Trace lookup is served on coordinators AND shard workers (a worker records
         // its shard-op traces too): purely observational, never touches a ledger.
         Op::Trace { id } => {
@@ -899,8 +905,8 @@ fn registry_error(e: RegistryError) -> WireError {
 /// LDP query — LDP mining is post-processing and must never inflate the audited
 /// central totals.
 ///
-/// A traced request records the append, fsync included on a durable server, as its
-/// `audit` stage.
+/// A traced request records the append as its `audit` stage: the write only, since
+/// the background flusher makes the line durable off the reply path.
 fn audit_query(
     ctx: &ServerCtx,
     trace: Option<&ReqTrace>,

@@ -1,6 +1,7 @@
 //! Deterministic fault-injection tests over the persistence seams: the manifest's
 //! atomic rewrite failed at every step, journal appends and fsyncs failing under a
-//! live ledger, and the degraded read-only mode a wedged journal triggers. Over the
+//! live ledger, the degraded read-only mode a wedged journal triggers, and the audit
+//! log's write and background fsync failing without blocking a release. Over the
 //! shard fabric: a failed leg fails the query closed, and a θ mined across the
 //! failure is not memoized.
 //!
@@ -320,6 +321,134 @@ fn a_theta_mined_during_a_fabric_failure_is_not_memoized() {
     PbClient::connect(worker_addr).unwrap().shutdown().unwrap();
     worker_thread.join().unwrap().unwrap();
     pb_fault::clear();
+}
+
+#[test]
+fn a_failing_audit_log_wedges_without_blocking_releases_and_reconciles() {
+    if !pb_fault::is_compiled() {
+        return;
+    }
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    pb_fault::clear();
+
+    // The write (`audit.append`) fails on the reply path; the fsync (`audit.fsync`)
+    // fails later, on the background flusher. Either way the query releases, the
+    // journal keeps the exact spend, and the log wedges.
+    for site in ["audit.append", "audit.fsync"] {
+        pb_fault::clear();
+        let scratch = Scratch::new("audit");
+        let registry = Arc::new(
+            DatasetRegistry::with_persistence(StateDir::open(&scratch.0).unwrap()).unwrap(),
+        );
+        registry
+            .register("tx", rows(), Epsilon::Finite(10.0))
+            .unwrap();
+        let (addr, http_addr, server) = spawn_durable_server(Arc::clone(&registry));
+        let mut client = PbClient::connect(addr).unwrap();
+
+        pb_fault::arm(&format!("{site}=fail-once")).unwrap();
+        client
+            .query("tx", 2, 0.5, Some(7))
+            .unwrap_or_else(|e| panic!("{site}: a failing audit log must not block: {e}"));
+        // `pb_audit_wedged` reads 1 once the failing seam has run (the fsync's only
+        // after the flusher's wake-up, so poll for it).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !metrics(http_addr).contains("\npb_audit_wedged 1\n") {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{site}: the audit log never wedged:\n{}",
+                metrics(http_addr)
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(pb_fault::hits(site), 1, "{site} was never reached");
+
+        // Wedged is observability-only: later queries still release and debit.
+        for seed in [8, 9] {
+            client
+                .query("tx", 2, 0.5, Some(seed))
+                .unwrap_or_else(|e| panic!("{site}: release after the wedge: {e}"));
+        }
+        let entry = registry.get("tx").unwrap();
+        assert_eq!(entry.ledger().unwrap().spent(), 1.5, "{site}");
+        assert!(!entry.is_degraded(), "{site}: the journal must not wedge");
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        drop(entry);
+        drop(registry);
+        pb_fault::clear();
+
+        // Restart: recovery reconciles the audit ε up to the journal's.
+        let registry = Arc::new(
+            DatasetRegistry::with_persistence(StateDir::open(&scratch.0).unwrap()).unwrap(),
+        );
+        registry.recover().unwrap();
+        // In-memory rows are not in the manifest: re-registering adopts the journal.
+        registry
+            .register("tx", rows(), Epsilon::Finite(10.0))
+            .unwrap();
+        let (addr, _, server) = spawn_durable_server(Arc::clone(&registry));
+        let mut client = PbClient::connect(addr).unwrap();
+        client.status().unwrap();
+        let journal_spent = registry.get("tx").unwrap().ledger().unwrap().spent();
+        assert_eq!(journal_spent, 1.5, "{site}");
+        let audit = std::fs::read_to_string(scratch.0.join("audit.jsonl")).unwrap();
+        let audited: f64 = audit
+            .lines()
+            .map(|line| pb_service::Json::parse(line).unwrap())
+            .filter(|r| {
+                matches!(
+                    r.get("outcome").and_then(pb_service::Json::as_str),
+                    Some("released") | Some("reconciled")
+                )
+            })
+            .map(|r| r.get("epsilon").and_then(pb_service::Json::as_f64).unwrap())
+            .sum();
+        assert_eq!(
+            audited, journal_spent,
+            "{site}: audit ε must reconcile:\n{audit}"
+        );
+        assert!(
+            audit.contains(r#""outcome":"reconciled""#),
+            "{site}:\n{audit}"
+        );
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+    }
+    pb_fault::clear();
+}
+
+/// GETs `/metrics` over a fresh HTTP connection and returns the body.
+fn metrics(http_addr: SocketAddr) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(http_addr).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    raw.split_once("\r\n\r\n")
+        .map_or(raw.clone(), |(_, body)| body.to_string())
+}
+
+/// Binds an in-process coordinator with an HTTP gateway on ephemeral ports and runs
+/// it on a thread until a client sends `shutdown`. Durable when `registry` is.
+fn spawn_durable_server(
+    registry: Arc<DatasetRegistry>,
+) -> (SocketAddr, SocketAddr, JoinHandle<std::io::Result<()>>) {
+    let server = PbServer::bind(
+        "127.0.0.1:0",
+        registry,
+        ServiceConfig {
+            threads: 2,
+            http_port: Some(0),
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let http_addr = server.http_addr().unwrap().unwrap();
+    (addr, http_addr, std::thread::spawn(move || server.run()))
 }
 
 /// Binds an in-process server on an ephemeral port (a shard worker when `worker`) and

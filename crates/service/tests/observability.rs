@@ -26,6 +26,13 @@ fn fixture_db(n: usize) -> TransactionDb {
     TransactionDb::from_transactions(rows)
 }
 
+/// The value of an unlabeled sample in a Prometheus exposition.
+fn sample(metrics: &str, name: &str) -> Option<f64> {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
 /// One HTTP/1.1 request over a fresh connection; returns `(status, body)`.
 fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let (status, _, body) = http_exchange(addr, method, path, body);
@@ -314,9 +321,10 @@ fn audit_log_reconciles_exactly_with_the_journal_after_an_unclean_restart() {
         registry.get("retail").unwrap().ledger().unwrap().spent()
     );
 
-    // On this durable server the audit append (and its fsync) is a stage of its own:
-    // a span in the trace and a `pb_stage_duration_seconds` series, not time left
-    // unattributed between the debit and the encode.
+    // On this durable server the audit append is a stage of its own: a span in the
+    // trace and a `pb_stage_duration_seconds` series, not time left unattributed
+    // between the debit and the encode. The span covers the write only; the fsync runs
+    // on the background flusher, which `/metrics` shows separately.
     client
         .raw_line(r#"{"v":2,"id":"audited","op":"query","dataset":"retail","k":5,"epsilon":0.25,"seed":11}"#)
         .unwrap();
@@ -331,6 +339,32 @@ fn audit_log_reconciles_exactly_with_the_journal_after_an_unclean_restart() {
         metrics.contains("pb_stage_duration_seconds_bucket{stage=\"audit\",le=\""),
         "missing the audit stage in:\n{metrics}"
     );
+    // The flusher makes every written line durable off the reply path; its counter
+    // catches up with the file (this process wrote all of it: generation 1's log was
+    // deleted), and its fsyncs land in their own histogram.
+    let written = std::fs::read_to_string(&audit_path)
+        .unwrap()
+        .lines()
+        .count() as f64;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let metrics = loop {
+        let (_, metrics) = http_request(http_addr, "GET", "/metrics", "");
+        if sample(&metrics, "pb_audit_records_flushed_total") == Some(written) {
+            break metrics;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the flusher never covered {written} lines:\n{metrics}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("{e}\n---\n{metrics}"));
+    let fsyncs = sample(&metrics, "pb_audit_flush_duration_seconds_count").unwrap();
+    assert!(
+        (1.0..=written).contains(&fsyncs),
+        "{fsyncs} fsyncs for {written} lines"
+    );
+    assert!(metrics.contains("pb_audit_flush_duration_seconds_bucket{le=\"+Inf\"}"));
 
     // A refused query (budget exhausted) is audited too, spending nothing.
     let err = client.query("retail", 5, 100.0, Some(10)).unwrap_err();

@@ -130,8 +130,10 @@ impl ShardedDb {
     /// `workers[i]` for `i < workers.len()`, every remaining shard stays local (so an
     /// empty list is all-local, `workers.len() >= S` is all-remote, anything between
     /// is a mixed placement). Each placed worker is dialed and seeded with its
-    /// shard's rows under the key `"{dataset}/{i}"` before this returns; any dial or
-    /// seed failure aborts the placement, so a dataset never serves half-placed.
+    /// shard's rows under the key `"{dataset}/{i}"` before this returns — the workers
+    /// concurrently, on the counting pool like the count fan-out's remote legs; any
+    /// dial or seed failure aborts the placement, so a dataset never serves
+    /// half-placed.
     ///
     /// Placement is a pure scaling knob: the fan-out/merge results are byte-identical
     /// to the all-local path, because the workers return the same exact integer
@@ -141,15 +143,31 @@ impl ShardedDb {
             .fabric
             .take()
             .unwrap_or_else(|| Arc::new(Fabric::default()));
+        let placed: Arc<[(SocketAddr, Arc<TransactionDb>)]> = workers
+            .iter()
+            .zip(self.shards.iter())
+            .map(|(addr, shard)| (*addr, Arc::clone(shard.db())))
+            .collect();
+        let remotes = {
+            let (fabric, dataset) = (Arc::clone(&fabric), dataset.to_string());
+            let placed = Arc::clone(&placed);
+            pb_fim::pool::run(
+                pb_fim::pool::available_parallelism(),
+                placed.len(),
+                move |i, _| {
+                    let (addr, rows) = &placed[i];
+                    RemoteShard::connect(
+                        *addr,
+                        format!("{dataset}/{i}"),
+                        Arc::clone(rows),
+                        Arc::clone(&fabric),
+                    )
+                },
+            )
+        };
         let mut backends = self.backends.to_vec();
-        for (i, addr) in workers.iter().enumerate().take(self.shards.len()) {
-            let remote = RemoteShard::connect(
-                *addr,
-                format!("{dataset}/{i}"),
-                Arc::clone(self.shards[i].db()),
-                Arc::clone(&fabric),
-            )?;
-            backends[i] = ShardBackend::Remote(Arc::new(remote));
+        for (backend, remote) in backends.iter_mut().zip(remotes) {
+            *backend = ShardBackend::Remote(Arc::new(remote?));
         }
         self.backends = backends.into();
         self.fabric = Some(fabric);

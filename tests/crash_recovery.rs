@@ -515,6 +515,54 @@ fn two_servers_cannot_share_a_state_dir() {
 }
 
 #[test]
+fn audit_lines_are_written_before_the_reply_and_survive_kill9() {
+    // The audit log's fsync runs on a background flusher, but the line itself is
+    // written before the reply leaves: a SIGKILL (no power loss — the page cache
+    // survives) right after the replies must find every released line on disk, and
+    // recovery must have no ε to reconcile.
+    const QUERIES: usize = 32;
+    let scratch = Scratch::new("audit");
+    let data = write_fixture(&scratch);
+    let state = state_dir_arg(&scratch);
+    let dataset = format!("d={data}");
+    let audit = scratch.0.join("state").join("audit.jsonl");
+    let released = |text: &str| text.matches(r#""outcome":"released""#).count();
+
+    let server = Server::spawn(&[
+        "--dataset",
+        &dataset,
+        "--budget",
+        "16",
+        "--state-dir",
+        &state,
+    ]);
+    let mut client = server.client();
+    for seed in 0..QUERIES as u64 {
+        client.query("d", 3, 0.25, Some(100 + seed)).expect("query");
+        // No further round trip: the reply alone must imply the line is written.
+        let text = std::fs::read_to_string(&audit).unwrap();
+        assert_eq!(released(&text), seed as usize + 1, "{text}");
+    }
+    server.kill9();
+
+    let text = std::fs::read_to_string(&audit).unwrap();
+    assert_eq!(released(&text), QUERIES, "{text}");
+    assert!(text.ends_with('\n'), "no torn line: {text}");
+
+    // Recovery reconciles before it listens; the journal and the log already agree.
+    let server = Server::spawn(&["--state-dir", &state]);
+    let status = server.client().status().expect("status");
+    assert!((status.datasets[0].spent - 0.25 * QUERIES as f64).abs() < 1e-12);
+    let text = std::fs::read_to_string(&audit).unwrap();
+    assert!(
+        !text.contains(r#""outcome":"reconciled""#),
+        "nothing was missing, yet recovery reconciled: {text}"
+    );
+    assert_eq!(released(&text), QUERIES);
+    server.shutdown();
+}
+
+#[test]
 fn exhausted_stays_exhausted_across_kill9() {
     let scratch = Scratch::new("exhausted");
     let data = write_fixture(&scratch);
