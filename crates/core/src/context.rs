@@ -47,12 +47,12 @@ pub struct QueryContext {
 
 impl QueryContext {
     /// Builds a context over one database as a single shard. The rows are shared, not
-    /// copied: the shard adopts `db` itself.
+    /// copied: the sharded database adopts `db` as its store.
     ///
     /// θ counts are *not* precomputed (they depend on the query's `k`); each distinct
     /// `k1` is mined once on first use and memoized.
     pub fn new(db: Arc<TransactionDb>) -> Self {
-        Self::sharded(ShardedDb::from_shards(vec![db]).into_shared())
+        Self::sharded(ShardedDb::new(db, 1).into_shared())
     }
 
     /// Builds a context over a pre-partitioned database: the per-shard indexes are
@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(ctx.num_shards(), 1);
         // One shard that adopted the caller's rows rather than copying them.
         let sharded = ctx.sharded_db().expect("every context is sharded");
-        assert!(Arc::ptr_eq(sharded.shards()[0].db(), &db));
+        assert!(Arc::ptr_eq(sharded.store(), &db));
         for k1 in [1usize, 3, 7] {
             assert_eq!(ctx.theta_count(k1), theta_by_fpgrowth(&db, k1));
         }

@@ -85,7 +85,7 @@
 use crate::bitmap::Bitmap;
 use crate::itemset::{Item, ItemSet};
 use crate::pairs::{num_pairs, PairCounts};
-use crate::transaction::TransactionDb;
+use crate::transaction::{distinct_items, TransactionDb};
 use std::sync::{Arc, OnceLock};
 
 pub use crate::pool::{available_parallelism, set_parallelism_override};
@@ -133,121 +133,85 @@ pub struct VerticalIndex {
 }
 
 impl VerticalIndex {
-    /// Builds the index over every distinct item of `db` in one pass.
+    /// Builds the index over every distinct item of `db` in one pass (the database
+    /// already holds its item universe).
     pub fn build(db: &TransactionDb) -> Self {
-        Self::build_filtered(db, None)
+        Self::build_items(db.transactions(), db.item_universe(), true)
+    }
+
+    /// Builds the index over every distinct item of `rows`, a slice of some database
+    /// (a shard's row range, a worker's loaded rows): one pass gathers the items, one
+    /// fills their bitmaps.
+    pub fn build_rows(rows: &[ItemSet]) -> Self {
+        Self::build_items(rows, distinct_items(rows).into_iter().collect(), true)
     }
 
     /// Builds the index over only the items of `restrict` (items of `restrict` absent
     /// from the database get no bitmap). Useful when a caller will only ever query one
     /// basis, e.g. for projections.
     pub fn build_restricted(db: &TransactionDb, restrict: &ItemSet) -> Self {
-        Self::build_filtered(db, Some(restrict))
+        let universe = ItemSet::from_sorted(db.item_universe()).expect("universe is sorted");
+        let items = universe.intersect(restrict).items().to_vec();
+        Self::build_items(db.transactions(), items, false)
     }
 
-    fn build_filtered(db: &TransactionDb, restrict: Option<&ItemSet>) -> Self {
-        let n = db.len();
-        let items: Vec<Item> = match restrict {
-            None => db.item_universe(),
-            Some(r) => {
-                let universe = db.item_universe();
-                let universe_set = ItemSet::from_sorted(universe).expect("universe is sorted");
-                universe_set.intersect(r).items().to_vec()
-            }
-        };
-        let lookup = SlotLookup::new(&items);
-        let prefix = restrict.is_none().then(Box::default);
-
-        let threads = available_parallelism();
-        if threads > 1 && n >= PAR_MIN_BUILD_ROWS {
-            return Self::build_chunked(db, items, &lookup, threads, prefix);
-        }
-
+    /// The one build: a bitmap per item of `items` (ascending) over `rows`, with prefix
+    /// tables when `prefix` holds. Every bitmap is allocated once, at its final size,
+    /// and filled in place. The rows are cut into 64-aligned chunks, one per worker of
+    /// the thread budget (a single chunk below `PAR_MIN_BUILD_ROWS` rows, filled on the
+    /// caller's thread), and each chunk sets bits only in its own word range of every
+    /// bitmap, so the result is the same bits for any budget.
+    fn build_items(rows: &[ItemSet], items: Vec<Item>, prefix: bool) -> Self {
+        let n = rows.len();
         let num_words = n.div_ceil(64);
-        let mut flat = vec![0u64; items.len() * num_words];
-        for (tid, t) in db.iter().enumerate() {
-            let word = tid / 64;
-            let bit = 1u64 << (tid % 64);
-            for item in t.iter() {
-                if let Some(slot) = lookup.slot(item) {
-                    flat[slot * num_words + word] |= bit;
+        let threads = if n >= PAR_MIN_BUILD_ROWS {
+            available_parallelism()
+        } else {
+            1
+        };
+        let chunk_words = num_words.div_ceil(threads).max(1);
+        let lookup = SlotLookup::new(&items);
+        let mut words: Vec<Vec<u64>> = items.iter().map(|_| vec![0u64; num_words]).collect();
+        // chunks[c][slot]: chunk c's word range of the bitmap at `slot`.
+        let mut chunks: Vec<Vec<&mut [u64]>> = (0..num_words.div_ceil(chunk_words))
+            .map(|_| Vec::with_capacity(items.len()))
+            .collect();
+        for bitmap in &mut words {
+            for (chunk, range) in chunks.iter_mut().zip(bitmap.chunks_mut(chunk_words)) {
+                chunk.push(range);
+            }
+        }
+        let fill = |c: usize, mut chunk: Vec<&mut [u64]>| {
+            let first = c * chunk_words * 64;
+            let end = (first + chunk_words * 64).min(n);
+            for (tid, t) in rows[first..end].iter().enumerate() {
+                for item in t.iter() {
+                    if let Some(slot) = lookup.slot(item) {
+                        chunk[slot][tid / 64] |= 1u64 << (tid % 64);
+                    }
                 }
             }
-        }
-        VerticalIndex {
-            num_transactions: n,
-            bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
-            items,
-            prefix,
-        }
-    }
-
-    /// Parallel build: transactions are split into 64-aligned chunks, each worker fills a
-    /// flat word block for its chunk, and the per-chunk blocks are stitched into the final
-    /// bitmaps. Bit-for-bit identical to the sequential build.
-    fn build_chunked(
-        db: &TransactionDb,
-        items: Vec<Item>,
-        lookup: &SlotLookup,
-        threads: usize,
-        prefix: Option<Box<Prefix>>,
-    ) -> Self {
-        let n = db.len();
-        let num_words = n.div_ceil(64);
-        let num_items = items.len();
-        // 64-aligned chunk size so each chunk owns whole words.
-        let chunk_bits = (n.div_ceil(threads)).div_ceil(64) * 64;
-        let transactions = db.transactions();
-        let chunks: Vec<(usize, &[ItemSet])> = (0..threads)
-            .map(|c| {
-                (
-                    c * chunk_bits,
-                    &transactions[(c * chunk_bits).min(n)..((c + 1) * chunk_bits).min(n)],
-                )
-            })
-            .filter(|(_, slice)| !slice.is_empty())
-            .collect();
-        // Each worker returns an item-major flat block: words[slot * chunk_words + w].
+        };
         // audit:allow(thread-spawn): the build borrows the rows and runs once per registration, not per query
-        let blocks: Vec<(usize, Vec<u64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(base_tid, slice)| {
-                    scope.spawn(move || {
-                        let chunk_words = slice.len().div_ceil(64);
-                        let mut words = vec![0u64; num_items * chunk_words];
-                        for (local_tid, t) in slice.iter().enumerate() {
-                            for item in t.iter() {
-                                if let Some(slot) = lookup.slot(item) {
-                                    words[slot * chunk_words + local_tid / 64] |=
-                                        1u64 << (local_tid % 64);
-                                }
-                            }
-                        }
-                        (base_tid, words)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("index build worker panicked"))
-                .collect()
-        });
-        let mut flat = vec![0u64; num_items * num_words];
-        for (base_tid, words) in blocks {
-            let base_word = base_tid / 64;
-            let chunk_words = words.len() / num_items.max(1);
-            for slot in 0..num_items {
-                let src = &words[slot * chunk_words..(slot + 1) * chunk_words];
-                flat[slot * num_words + base_word..slot * num_words + base_word + src.len()]
-                    .copy_from_slice(src);
+        std::thread::scope(|scope| {
+            let fill = &fill;
+            let mut chunks = chunks.into_iter().enumerate();
+            let first = chunks.next();
+            for (c, chunk) in chunks {
+                scope.spawn(move || fill(c, chunk));
             }
-        }
+            if let Some((c, chunk)) = first {
+                fill(c, chunk);
+            }
+        });
         VerticalIndex {
             num_transactions: n,
-            bitmaps: split_flat(&flat, items.len(), num_words, n).into(),
+            bitmaps: words
+                .into_iter()
+                .map(|w| Bitmap::from_words(w, n))
+                .collect(),
             items,
-            prefix,
+            prefix: prefix.then(Box::default),
         }
     }
 
@@ -596,18 +560,6 @@ fn count_pairs(
         start = end;
     }
     counts
-}
-
-/// Splits an item-major flat word array (`num_words` words per item) into `num_items`
-/// bitmaps over `len_bits` bits. Each bitmap owns exactly its own words, so the split is
-/// linear in the array and the index holds no slack capacity.
-fn split_flat(flat: &[u64], num_items: usize, num_words: usize, len_bits: usize) -> Vec<Bitmap> {
-    (0..num_items)
-        .map(|slot| {
-            let words = &flat[slot * num_words..(slot + 1) * num_words];
-            Bitmap::from_words(words.to_vec(), len_bits)
-        })
-        .collect()
 }
 
 /// Maps items to bitmap slots. When item ids are dense (the common case — generators and
@@ -1194,36 +1146,53 @@ mod tests {
         // on. Concurrently running tests seeing the override stay correct — both paths
         // produce identical bits — and, unlike std::env::set_var, an atomic store cannot
         // race libc getenv.
-        super::set_parallelism_override(Some(4));
-        // Big enough to clear both parallel thresholds.
-        let n = PAR_MIN_BUILD_ROWS.max(64 * PAR_MIN_WORDS) + 77;
-        let transactions: Vec<Vec<u32>> = (0..n)
-            .map(|t| {
-                (0..10u32)
-                    .filter(|&j| (t * 31 + j as usize * 17).is_multiple_of(j as usize + 2))
-                    .collect()
-            })
-            .collect();
-        let db = TransactionDb::from_transactions(transactions);
-        let parallel_index = VerticalIndex::build(&db);
-        let basis = set(&[0, 1, 2, 3, 4, 5]);
-        let parallel_bins = parallel_index.bin_histogram(&basis);
-
-        super::set_parallelism_override(Some(1));
-        let seq_index = VerticalIndex::build(&db);
-        let seq_bins = seq_index.bin_histogram(&basis);
-        super::set_parallelism_override(None);
-
-        assert_eq!(parallel_index.items(), seq_index.items());
-        for &item in parallel_index.items() {
-            assert_eq!(
-                parallel_index.item_bitmap(item).unwrap(),
-                seq_index.item_bitmap(item).unwrap(),
-                "bitmap mismatch for item {item}"
-            );
+        //
+        // Both row counts clear both parallel thresholds and end in a partial word. At a
+        // budget of 4 the second cuts its 513 words into chunks of 129, 129, 129 and a
+        // short last chunk of 126.
+        for n in [
+            PAR_MIN_BUILD_ROWS.max(64 * PAR_MIN_WORDS) + 77,
+            64 * 513 - 13,
+        ] {
+            let transactions: Vec<Vec<u32>> = (0..n)
+                .map(|t| {
+                    (0..10u32)
+                        .filter(|&j| (t * 31 + j as usize * 17).is_multiple_of(j as usize + 2))
+                        .collect()
+                })
+                .collect();
+            let db = TransactionDb::from_transactions(transactions);
+            // The oracles: each item's bitmap set bit by bit, and each row's bin.
+            let mut expected: Vec<Bitmap> = vec![Bitmap::zero(n); 10];
+            let basis = set(&[0, 1, 2, 3, 4, 5]);
+            let mut expected_bins = vec![0u64; 1 << basis.len()];
+            for (tid, t) in db.iter().enumerate() {
+                for item in t.iter() {
+                    expected[item as usize].set(tid);
+                }
+                let bin = basis
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, item)| t.contains(item))
+                    .fold(0, |bin, (i, _)| bin | 1 << i);
+                expected_bins[bin] += 1;
+            }
+            for threads in 1..=4 {
+                super::set_parallelism_override(Some(threads));
+                let index = VerticalIndex::build(&db);
+                let bins = index.bin_histogram(&basis);
+                super::set_parallelism_override(None);
+                assert_eq!(index.items(), (0..10).collect::<Vec<u32>>());
+                for (item, bitmap) in (0..10u32).zip(&expected) {
+                    assert_eq!(
+                        index.item_bitmap(item).unwrap(),
+                        bitmap,
+                        "bitmap of item {item}, {n} rows, budget {threads}"
+                    );
+                }
+                assert_eq!(bins, expected_bins, "{n} rows, budget {threads}");
+            }
         }
-        assert_eq!(parallel_bins, seq_bins);
-        assert_eq!(parallel_bins.iter().sum::<u64>(), n as u64);
     }
 
     #[test]

@@ -33,22 +33,11 @@ impl TransactionDb {
     }
 
     /// Builds a database from already-normalised itemsets.
-    ///
-    /// The distinct items are gathered with one hash insert per occurrence and ordered
-    /// once at the end: a tree insert per occurrence walks the tree every time, and a
-    /// table indexed by item id would be sized by the largest id, an arbitrary `u32`
-    /// read from a file. Memory follows the distinct items, not the rows.
     pub fn from_itemsets(transactions: Vec<ItemSet>) -> Self {
-        let mut seen = HashSet::new();
-        let mut total_items = 0usize;
-        for t in &transactions {
-            total_items += t.len();
-            seen.extend(t.iter());
-        }
         TransactionDb {
+            distinct_items: distinct_items(&transactions),
+            total_items: transactions.iter().map(ItemSet::len).sum(),
             transactions,
-            distinct_items: BTreeSet::from_iter(seen),
-            total_items,
         }
     }
 
@@ -125,13 +114,7 @@ impl TransactionDb {
 
     /// Per-item support counts.
     pub fn item_counts(&self) -> BTreeMap<Item, usize> {
-        let mut counts: BTreeMap<Item, usize> = BTreeMap::new();
-        for t in &self.transactions {
-            for item in t.iter() {
-                *counts.entry(item).or_insert(0) += 1;
-            }
-        }
-        counts
+        item_counts(&self.transactions)
     }
 
     /// Items sorted by descending support (ties broken by ascending item id for determinism).
@@ -213,6 +196,27 @@ mod shareability {
     const _: () = assert_send_sync::<crate::index::VerticalIndex>();
     const _: () = assert_send_sync::<crate::bitmap::Bitmap>();
     const _: () = assert_send_sync::<crate::itemset::ItemSet>();
+}
+
+/// Per-item support counts over `rows`: how many of them contain each item.
+pub fn item_counts(rows: &[ItemSet]) -> BTreeMap<Item, usize> {
+    let mut counts: BTreeMap<Item, usize> = BTreeMap::new();
+    for item in rows.iter().flat_map(ItemSet::iter) {
+        *counts.entry(item).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// The distinct items of `rows`, gathered with one hash insert per occurrence and
+/// ordered once at the end: a tree insert per occurrence walks the tree every time, and
+/// a table indexed by item id would be sized by the largest id, an arbitrary `u32` read
+/// from a file. Memory follows the distinct items, not the rows.
+pub(crate) fn distinct_items(rows: &[ItemSet]) -> BTreeSet<Item> {
+    let mut seen = HashSet::new();
+    for t in rows {
+        seen.extend(t.iter());
+    }
+    BTreeSet::from_iter(seen)
 }
 
 #[cfg(test)]

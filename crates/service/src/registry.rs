@@ -238,7 +238,7 @@ pub(crate) fn channel_params(channel: &LdpChannel) -> LdpParams {
 pub struct SetupPhases {
     /// Reading and parsing the source file (zero for in-process rows and reshards).
     pub read: Duration,
-    /// Cutting the rows into shards (adopting them as one shard when unsharded).
+    /// Cutting the rows into shard ranges (no row is copied).
     pub partition: Duration,
     /// Placing shards on remote workers: dialing each, shipping its rows and waiting
     /// for its seal (zero when every shard is local).
@@ -252,8 +252,9 @@ pub struct DatasetEntry {
     name: String,
     /// How long building this entry took, phase by phase.
     setup: SetupPhases,
-    /// The rows, held only as shards (one when unsharded): never beside a second copy,
-    /// which would double resident row memory.
+    /// The rows, held once as the sharded database's store, with every shard a row
+    /// range of it (one when unsharded). A reshard cuts new ranges over the same
+    /// store, so no generation holds a second copy of the rows.
     data: Arc<ShardedDb>,
     /// Row count, cached so `status` never touches the data.
     transactions: usize,
@@ -434,11 +435,11 @@ impl DatasetEntry {
     ///
     /// The counter is journaled best-effort *after* the answer exists: a crash in
     /// between loses at most the in-flight increments, which is the safe direction —
-    /// the ε debit itself was made durable before the mechanism ran. The record is
-    /// only *staged* (no fsync of its own — a best-effort counter does not buy a disk
-    /// round trip per query); the next debit's group commit or the next snapshot
-    /// compaction makes it durable against machine crashes, and a mere `kill -9`
-    /// never loses staged bytes.
+    /// the ε debit itself was made durable before this call (the mechanism runs first,
+    /// then the debit, then this record, then the reply). The record is only *staged*
+    /// (no fsync of its own — a best-effort counter does not buy a disk round trip per
+    /// query); the next debit's group commit or the next snapshot compaction makes it
+    /// durable against machine crashes, and a mere `kill -9` never loses staged bytes.
     pub fn record_query(&self) {
         let served = self.queries_served.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(journal) = &self.journal {
@@ -705,22 +706,15 @@ impl DatasetRegistry {
         if old.shards == shards {
             return Ok(old);
         }
-        // Rebuild the rows from the current partition (shard blocks are contiguous and
-        // ordered, so concatenating them reproduces the original row order) and
-        // re-partition — all OUTSIDE the registry lock: on a large dataset this clone
-        // and re-index takes seconds, and queries against every other dataset must not
-        // stall behind it. No source file read: resharding works for inline datasets
-        // and for files that have since moved.
-        let rows: Vec<pb_fim::ItemSet> = old
-            .data
-            .shards()
-            .iter()
-            .flat_map(|shard| shard.db().iter().cloned())
-            .collect();
-        let db = TransactionDb::from_itemsets(rows);
-        // Re-place onto the same workers the old layout used: a reshard changes how
-        // many shards exist, never where the operator asked them to live.
-        let (data, setup) = partition_data(db, shards, &old.workers, name)?;
+        // Cut new ranges over the old entry's row store — no row is copied, and no
+        // source file read: resharding works for inline datasets and for files that
+        // have since moved. All of it runs OUTSIDE the registry lock: on a large dataset
+        // the re-index takes seconds, and queries against every other dataset must not
+        // stall behind it. Re-place onto the same workers the old layout used: a
+        // reshard changes how many shards exist, never where the operator asked them
+        // to live.
+        let store = Arc::clone(old.data.store());
+        let (data, setup) = partition_data(store, shards, &old.workers, name)?;
         let entry = Arc::new(DatasetEntry {
             name: old.name.clone(),
             setup,
@@ -850,7 +844,7 @@ impl DatasetRegistry {
         // Partition — and, with a placement, dial and seed the remote workers — before
         // any durable side effect: a placement failure (dead worker, bad address) must
         // not leave a phantom manifest entry or a freshly opened journal behind.
-        let (data, mut setup) = partition_data(db, shards, &workers, &name)?;
+        let (data, mut setup) = partition_data(Arc::new(db), shards, &workers, &name)?;
         setup.read = read;
 
         let (mode, queries_served, journal) = match (&mode, &self.persistence) {
@@ -1195,24 +1189,19 @@ fn edit_recorded(
     true
 }
 
-/// Partitions `db` into `shards` row shards and, when a placement is given, dials and
+/// Cuts `store` into `shards` row ranges and, when a placement is given, dials and
 /// seeds the remote workers (shard `i` → `workers[i]`, remaining shards local).
 /// Placement is a pure execution knob — released bytes are identical for local,
 /// remote, and mixed layouts. Returns the shards with the partition and placement
 /// phases timed; the read phase is left to the caller.
 fn partition_data(
-    db: TransactionDb,
+    store: Arc<TransactionDb>,
     shards: usize,
     workers: &[String],
     name: &str,
 ) -> Result<(Arc<ShardedDb>, SetupPhases), RegistryError> {
-    // One shard adopts the rows as they are; more shards copy them into contiguous
-    // blocks and the source is dropped.
     let started = Instant::now();
-    let sharded = match shards {
-        1 => ShardedDb::from_shards(vec![db]),
-        _ => ShardedDb::partition(&db, shards),
-    };
+    let sharded = ShardedDb::new(store, shards);
     let mut setup = SetupPhases {
         partition: started.elapsed(),
         ..SetupPhases::default()
@@ -1817,6 +1806,8 @@ mod tests {
         let resharded = registry.reshard("d", 3).unwrap();
         assert_eq!(resharded.shards(), 3);
         assert_eq!(resharded.transactions(), entry.transactions());
+        // The new layout cuts ranges over the old entry's row store, not a copy.
+        assert!(Arc::ptr_eq(resharded.data.store(), entry.data.store()));
         assert_eq!(registry.get("d").unwrap().shards(), 3);
         // One ledger, one counter: the old handle and the new entry share them.
         assert!((resharded.ledger().unwrap().spent() - 1.0).abs() < 1e-12);

@@ -932,7 +932,10 @@ fn audit_query(
     }
 }
 
-/// The query path: ledger debit → cached index → PrivBasis → response.
+/// The query path: admission → cached context → PrivBasis → fabric check → ledger
+/// debit → audit → response. The mechanism runs before the debit, so an answer
+/// discarded on a remote-shard failure spends no ε; nothing is released unless the
+/// debit succeeds.
 ///
 /// Tracing here is strictly passive: span boundaries are read off the telemetry clock
 /// *around* the existing calls, the RNG and every count are untouched, and the same

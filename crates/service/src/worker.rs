@@ -21,7 +21,7 @@
 
 use crate::protocol::{ErrorCode, Op, Response, WireError};
 use pb_fim::pairs::num_pairs;
-use pb_fim::{ItemSet, TransactionDb, VerticalIndex};
+use pb_fim::{ItemSet, VerticalIndex};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -162,8 +162,7 @@ fn shard_load(
     buffer.extend(rows.iter().map(|r| ItemSet::new(r.clone())));
     let total = buffer.len() as u64;
     if seal {
-        let db = TransactionDb::from_itemsets(std::mem::take(buffer));
-        let index = Arc::new(VerticalIndex::build(&db));
+        let index = Arc::new(VerticalIndex::build_rows(&std::mem::take(buffer)));
         store.insert(key.to_string(), WorkerShard::Sealed(index));
     }
     Response::ShardLoaded {
@@ -210,6 +209,7 @@ fn with_sealed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pb_fim::TransactionDb;
 
     fn op_pairs(items: &[u32]) -> Op {
         Op::ShardPairs {

@@ -18,7 +18,7 @@ use pb_dp::Epsilon;
 use pb_fim::{ItemSet, TransactionDb};
 use pb_proto::PbClient;
 use pb_service::{DatasetRegistry, PbServer, ServiceConfig};
-use pb_shard::{Fabric, RemoteShard};
+use pb_shard::{Fabric, RemoteShard, RowRange};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -178,10 +178,11 @@ fn keep_alive_metrics_scrapes_do_not_stall() {
 fn remote_bin_histograms_do_not_stall() {
     let worker = worker();
     let fabric = Arc::new(Fabric::default());
+    let db = Arc::new(fixture_db());
     let shard = RemoteShard::connect(
         worker,
         "wide/0".to_string(),
-        Arc::new(fixture_db()),
+        RowRange::new(Arc::clone(&db), 0..db.len()),
         Arc::clone(&fabric),
     )
     .expect("seed the worker");

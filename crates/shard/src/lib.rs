@@ -1,14 +1,16 @@
 //! # pb-shard — sharded dataset execution with mergeable counting
 //!
 //! A registered dataset used to be one [`TransactionDb`](pb_fim::TransactionDb) plus one
-//! [`VerticalIndex`](pb_fim::VerticalIndex): a single allocation that caps every dataset
+//! [`VerticalIndex`](pb_fim::VerticalIndex): one index allocation that caps every dataset
 //! at one machine's memory and leaves multi-core boxes idle above the per-query level.
-//! This crate breaks that cap by partitioning the *rows* instead of the queries:
+//! This crate partitions the *rows* instead of the queries:
 //!
 //! * [`ShardPlan`] — a deterministic assignment of rows to `S` contiguous shards,
 //!   recorded so a durable registry rebuilds the identical layout after a restart,
-//! * [`ShardedDb`] — the partitioned dataset: one `TransactionDb` + lazily built
-//!   `VerticalIndex` per shard, with fan-out/merge implementations of every counting
+//! * [`ShardedDb`] — the partitioned dataset: one shared `TransactionDb` store, held
+//!   once, cut into row ranges ([`RowRange`], a view, never a copy). Each shard counts
+//!   on a lazily built `VerticalIndex` over its range (or on a worker process, when
+//!   placed remotely). Fan-out/merge implementations cover every counting
 //!   primitive the PrivBasis pipeline touches (item supports, candidate supports, pair
 //!   counts, `BasisFreq` bin histograms, and the θ anchor via `pb-fim`'s best-first
 //!   top-`k` walk over shard-merged counts).
@@ -66,4 +68,4 @@ pub use plan::ShardPlan;
 pub use remote::{
     Fabric, FabricObserver, RemoteShard, ShardBackend, WorkerStats, DEFAULT_HEDGE_AFTER,
 };
-pub use sharded::{Shard, ShardedDb};
+pub use sharded::{RowRange, Shard, ShardedDb};

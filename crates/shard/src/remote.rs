@@ -28,17 +28,18 @@
 //! If that attempt times out or errors, the shard dials a fresh connection and
 //! retries once under the client's full deadline; the ops are deterministic exact
 //! counts, so a replay is always safe. A worker that answers `unknown_dataset`
-//! (it restarted and lost its in-memory shard) is re-seeded from the coordinator's
-//! retained rows and asked again — recovery is transparent to the query if the
-//! worker is back up in time.
+//! (it restarted and lost its in-memory shard) is re-seeded from the shard's row
+//! range of the coordinator's store and asked again — recovery is transparent to the
+//! query if the worker is back up in time.
 //!
 //! Fault sites `fabric.connect` / `fabric.write` / `fabric.read` cover the dial and
 //! both sides of each round trip, so chaos schedules can kill any leg
 //! deterministically.
 
+use crate::sharded::RowRange;
 use pb_fim::itemset::ItemSet;
 use pb_fim::pairs::num_pairs;
-use pb_fim::{PairCounts, TransactionDb};
+use pb_fim::PairCounts;
 use pb_proto::{ClientError, ErrorCode, PbClient};
 use std::collections::BTreeMap;
 use std::io;
@@ -214,19 +215,19 @@ pub enum ShardBackend {
     /// In this process, on the shard's own `VerticalIndex`.
     Local,
     /// On a worker process over pb-proto (shared: a count op's leg on a pool helper
-    /// holds its own handle to the connection, retained rows and health).
+    /// holds its own handle to the connection, row range and health).
     Remote(Arc<RemoteShard>),
 }
 
 /// One shard served by a remote worker process.
 ///
-/// Retains the shard's rows (`Arc`-shared with the local [`Shard`](crate::Shard),
-/// so no extra copy): they re-seed a restarted worker and keep cheap whole-dataset
-/// ops (item counts, reshard row rebuilds) local and failure-free.
+/// Keeps the shard's [`RowRange`], the same view of the coordinator's store the local
+/// [`Shard`](crate::Shard) holds, so no extra copy: it re-seeds a restarted worker and
+/// keeps the cheap item-count scan local and failure-free.
 pub struct RemoteShard {
     addr: SocketAddr,
     key: String,
-    rows: Arc<TransactionDb>,
+    rows: RowRange,
     fabric: Arc<Fabric>,
     conn: Mutex<Option<PbClient>>,
     healthy: AtomicBool,
@@ -238,20 +239,20 @@ impl std::fmt::Debug for RemoteShard {
         f.debug_struct("RemoteShard")
             .field("addr", &self.addr)
             .field("key", &self.key)
-            .field("rows", &self.rows.len())
+            .field("rows", &self.rows().len())
             .field("healthy", &self.healthy.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }
 }
 
 impl RemoteShard {
-    /// Dials `addr` and seeds the worker with the shard's rows under `key`
+    /// Dials `addr` and seeds the worker with the rows of `rows` under `key`
     /// (reset → chunked load → seal). Fails if the worker is unreachable or refuses
     /// the load, so a dataset never registers with a half-placed fabric.
     pub fn connect(
         addr: SocketAddr,
         key: String,
-        rows: Arc<TransactionDb>,
+        rows: RowRange,
         fabric: Arc<Fabric>,
     ) -> io::Result<RemoteShard> {
         let shard = RemoteShard {
@@ -280,9 +281,9 @@ impl RemoteShard {
         &self.key
     }
 
-    /// The shard's retained rows.
-    pub fn rows(&self) -> &Arc<TransactionDb> {
-        &self.rows
+    /// The shard's rows: a slice of the coordinator's store.
+    pub fn rows(&self) -> &[ItemSet] {
+        self.rows.rows()
     }
 
     /// False after the last op against this worker failed; true again once an op
@@ -440,7 +441,7 @@ impl RemoteShard {
             Ok(value) => Ok((client, value, false)),
             Err(ClientError::Server(e)) if e.code == ErrorCode::UnknownDataset => {
                 // The worker restarted and lost its in-memory shard: re-seed from
-                // the retained rows, then ask once more.
+                // the shard's row range, then ask once more.
                 self.seed(&mut client)?;
                 let value = self.round_trip(&mut client, op)?;
                 Ok((client, value, true))
@@ -469,7 +470,7 @@ impl RemoteShard {
     /// Ships the shard's rows to the worker: reset on the first chunk, seal on the
     /// last, chunk sizes bounded so every request line stays under the server cap.
     fn seed(&self, client: &mut PbClient) -> Result<(), ClientError> {
-        let rows = self.rows.transactions();
+        let rows = self.rows.rows();
         let mut chunk: Vec<Vec<u32>> = Vec::new();
         let mut bytes = 0usize;
         let mut first = true;

@@ -1,33 +1,66 @@
-//! The sharded dataset: row-partitioned [`TransactionDb`]s with exact summation merges.
+//! The sharded dataset: row ranges of one shared [`TransactionDb`] with exact summation
+//! merges.
 
 use crate::plan::ShardPlan;
 use crate::remote::{Fabric, RemoteShard, ShardBackend};
 use pb_fim::itemset::{Item, ItemSet};
+use pb_fim::transaction::item_counts;
 use pb_fim::{PairCounts, TransactionDb, VerticalIndex};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-/// One shard: its rows plus a lazily built vertical index over them.
+/// A contiguous row range of a shared store: the rows one shard counts over, held as a
+/// view, never as a copy.
+#[derive(Clone, Debug)]
+pub struct RowRange {
+    store: Arc<TransactionDb>,
+    range: Range<usize>,
+}
+
+impl RowRange {
+    /// The rows `range` of `store`.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the store's last row.
+    pub fn new(store: Arc<TransactionDb>, range: Range<usize>) -> RowRange {
+        assert!(
+            range.end <= store.len(),
+            "row range {range:?} past the store"
+        );
+        RowRange { store, range }
+    }
+
+    /// The rows in the range.
+    pub fn rows(&self) -> &[ItemSet] {
+        &self.store.transactions()[self.range.clone()]
+    }
+
+    /// The range's vertical index. A range over the whole store reads the item universe
+    /// the store already holds; a partial range gathers its own.
+    fn build_index(&self) -> VerticalIndex {
+        if self.range.len() == self.store.len() {
+            VerticalIndex::build(&self.store)
+        } else {
+            VerticalIndex::build_rows(self.rows())
+        }
+    }
+}
+
+/// One shard: a row range of the store plus a lazily built vertical index over it.
 #[derive(Debug)]
 pub struct Shard {
-    db: Arc<TransactionDb>,
+    rows: RowRange,
     index: OnceLock<Arc<VerticalIndex>>,
 }
 
 impl Shard {
-    fn new(db: Arc<TransactionDb>) -> Shard {
-        Shard {
-            db,
-            index: OnceLock::new(),
-        }
-    }
-
-    /// The shard's rows.
-    pub fn db(&self) -> &Arc<TransactionDb> {
-        &self.db
+    /// The shard's rows: a slice of the store.
+    pub fn rows(&self) -> &[ItemSet] {
+        self.rows.rows()
     }
 
     /// The shard's vertical index, built on first use.
@@ -36,7 +69,7 @@ impl Shard {
     /// [`OnceLock`] publishes exactly one winner.
     pub fn index(&self) -> &Arc<VerticalIndex> {
         self.index
-            .get_or_init(|| VerticalIndex::build(&self.db).into_shared())
+            .get_or_init(|| self.rows.build_index().into_shared())
     }
 }
 
@@ -62,68 +95,45 @@ pub struct ShardedDb {
     backends: Arc<[ShardBackend]>,
     /// Shared fabric health, present once any shard is remote.
     fabric: Option<Arc<Fabric>>,
-    num_transactions: usize,
+    /// The rows, once: every shard is a range of this store.
+    store: Arc<TransactionDb>,
     /// Merged `(item, support)` ascending by item, computed on first use.
     item_counts: OnceLock<Vec<(Item, usize)>>,
     /// Merged items by descending support (ties ascending by item), on first use.
     items_by_freq: OnceLock<Vec<(Item, usize)>>,
 }
 
-fn all_local(n: usize) -> Arc<[ShardBackend]> {
-    (0..n).map(|_| ShardBackend::Local).collect()
-}
-
 impl ShardedDb {
-    /// Partitions `db` into `num_shards` contiguous row blocks (the [`ShardPlan`]
-    /// layout). Rows are copied into per-shard databases; the source is not retained.
+    /// Adopts `store` and cuts it into `num_shards` contiguous row ranges (the
+    /// [`ShardPlan`] layout). The shards are views of the store: no row is copied.
     ///
     /// # Panics
     /// Panics if `num_shards` is 0; every seam that takes a shard count from outside
     /// refuses 0 before it gets here.
-    pub fn partition(db: &TransactionDb, num_shards: usize) -> ShardedDb {
+    pub fn new(store: Arc<TransactionDb>, num_shards: usize) -> ShardedDb {
         let plan = ShardPlan::new(NonZeroUsize::new(num_shards).expect("at least one shard"));
-        let rows = db.transactions();
         let shards: Arc<[Shard]> = plan
-            .boundaries(rows.len())
+            .boundaries(store.len())
             .into_iter()
-            .map(|range| {
-                Shard::new(TransactionDb::from_itemsets(rows[range].to_vec()).into_shared())
+            .map(|range| Shard {
+                rows: RowRange::new(Arc::clone(&store), range),
+                index: OnceLock::new(),
             })
             .collect();
         ShardedDb {
             plan,
-            num_transactions: rows.len(),
-            backends: all_local(shards.len()),
+            backends: (0..shards.len()).map(|_| ShardBackend::Local).collect(),
             shards,
             fabric: None,
+            store,
             item_counts: OnceLock::new(),
             items_by_freq: OnceLock::new(),
         }
     }
 
-    /// Assembles a sharded database from pre-split shards (e.g. one file per shard).
-    /// Row order across shards is the concatenation order, matching an unsharded
-    /// database built from the same concatenation. The shards are adopted as given —
-    /// owned or shared, never copied — so `from_shards(vec![db])` is the one-shard
-    /// layout of `db` at no extra row memory.
-    pub fn from_shards(shards: Vec<impl Into<Arc<TransactionDb>>>) -> ShardedDb {
-        let shards: Arc<[Shard]> = shards
-            .into_iter()
-            .map(Into::into)
-            .filter(|db: &Arc<TransactionDb>| !db.is_empty())
-            .map(Shard::new)
-            .collect();
-        let num_transactions = shards.iter().map(|s| s.db.len()).sum();
-        ShardedDb {
-            // All-empty input is the one-shard layout of an empty database.
-            plan: ShardPlan::new(NonZeroUsize::new(shards.len()).unwrap_or(NonZeroUsize::MIN)),
-            backends: all_local(shards.len()),
-            shards,
-            fabric: None,
-            num_transactions,
-            item_counts: OnceLock::new(),
-            items_by_freq: OnceLock::new(),
-        }
+    /// [`ShardedDb::new`] over a copy of `db`.
+    pub fn partition(db: &TransactionDb, num_shards: usize) -> ShardedDb {
+        ShardedDb::new(Arc::new(db.clone()), num_shards)
     }
 
     /// Places a prefix of the shards onto remote worker processes: shard `i` goes to
@@ -143,10 +153,10 @@ impl ShardedDb {
             .fabric
             .take()
             .unwrap_or_else(|| Arc::new(Fabric::default()));
-        let placed: Arc<[(SocketAddr, Arc<TransactionDb>)]> = workers
+        let placed: Arc<[(SocketAddr, RowRange)]> = workers
             .iter()
             .zip(self.shards.iter())
-            .map(|(addr, shard)| (*addr, Arc::clone(shard.db())))
+            .map(|(addr, shard)| (*addr, shard.rows.clone()))
             .collect();
         let remotes = {
             let (fabric, dataset) = (Arc::clone(&fabric), dataset.to_string());
@@ -159,7 +169,7 @@ impl ShardedDb {
                     RemoteShard::connect(
                         *addr,
                         format!("{dataset}/{i}"),
-                        Arc::clone(rows),
+                        rows.clone(),
                         Arc::clone(&fabric),
                     )
                 },
@@ -195,14 +205,19 @@ impl ShardedDb {
         &self.shards
     }
 
+    /// The one row store every shard is a range of.
+    pub fn store(&self) -> &Arc<TransactionDb> {
+        &self.store
+    }
+
     /// Total number of transactions across all shards.
     pub fn num_transactions(&self) -> usize {
-        self.num_transactions
+        self.store.len()
     }
 
     /// True when no shard holds any transaction.
     pub fn is_empty(&self) -> bool {
-        self.num_transactions == 0
+        self.store.is_empty()
     }
 
     /// The per-shard backends, parallel to [`ShardedDb::shards`].
@@ -282,9 +297,9 @@ impl ShardedDb {
         self.item_counts.get_or_init(|| {
             let per_shard = self.fan_out(|shard, backend, _| match backend {
                 ShardBackend::Local => shard.index().item_counts(),
-                // Remote shards keep this whole-dataset scan local (the rows are
-                // retained anyway) without building the heavy vertical index.
-                ShardBackend::Remote(r) => r.rows().item_counts().into_iter().collect(),
+                // Remote shards keep this whole-dataset scan local, over their view
+                // of the store, without building the heavy vertical index.
+                ShardBackend::Remote(r) => item_counts(r.rows()).into_iter().collect(),
             });
             let mut merged: BTreeMap<Item, usize> = BTreeMap::new();
             for counts in per_shard {
@@ -421,14 +436,28 @@ mod tests {
     #[test]
     fn partition_preserves_rows_and_counts() {
         let db = sample_db();
+        let store = Arc::new(db.clone());
         for shards in 1..=9 {
-            let sharded = ShardedDb::partition(&db, shards);
+            let sharded = ShardedDb::new(Arc::clone(&store), shards);
+            assert!(Arc::ptr_eq(sharded.store(), &store));
             assert_eq!(sharded.num_transactions(), db.len());
             assert!(!sharded.is_empty());
             assert_eq!(sharded.plan().num_shards(), shards);
             assert!(sharded.num_shards() <= shards);
-            let total: usize = sharded.shards().iter().map(|s| s.db().len()).sum();
-            assert_eq!(total, db.len());
+            // Every shard's rows are a slice of the one store, and the ranges
+            // concatenate to it.
+            let mut next = 0;
+            for shard in sharded.shards() {
+                assert!(Arc::ptr_eq(&shard.rows.store, &store));
+                let range = shard.rows.range.clone();
+                assert_eq!(range.start, next, "S={shards}");
+                assert!(std::ptr::eq(
+                    shard.rows(),
+                    &store.transactions()[range.clone()]
+                ));
+                next = range.end;
+            }
+            assert_eq!(next, db.len(), "S={shards}");
             assert_eq!(sharded.num_distinct_items(), db.num_distinct_items());
         }
     }
@@ -497,20 +526,6 @@ mod tests {
         pb_fim::pool::set_parallelism_override(None);
         assert_eq!(merged, expected);
         assert_eq!(supports, db.supports(&bases));
-    }
-
-    #[test]
-    fn from_shards_matches_concatenation() {
-        let db = sample_db();
-        let rows = db.transactions();
-        let sharded = ShardedDb::from_shards(vec![
-            TransactionDb::from_itemsets(rows[..4].to_vec()),
-            TransactionDb::from_itemsets(Vec::new()), // empty shards are dropped
-            TransactionDb::from_itemsets(rows[4..].to_vec()),
-        ]);
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(sharded.num_transactions(), db.len());
-        assert_eq!(sharded.support(&set(&[1, 2])), db.support(&set(&[1, 2])));
     }
 
     #[test]

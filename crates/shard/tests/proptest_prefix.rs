@@ -83,20 +83,14 @@ fn check(db: &TransactionDb, bases: &[ItemSet], items: &ItemSet, threads: usize)
         assert_eq!(sharded.bin_histograms(bases), expected, "S={shards}");
         assert_eq!(sharded.pair_counts(items), pairs, "S={shards}");
     }
-    // An empty shard among the parts changes nothing.
-    let half = db.len() / 2;
-    let parts = vec![
-        TransactionDb::from_itemsets(db.transactions()[..half].to_vec()),
-        TransactionDb::from_transactions(Vec::<Vec<Item>>::new()),
-        TransactionDb::from_itemsets(db.transactions()[half..].to_vec()),
-    ];
-    let sharded = ShardedDb::from_shards(parts);
+    // More shards than rows cut no empty shard and change nothing.
+    let sharded = ShardedDb::partition(db, db.len() + 2);
     assert_eq!(
         sharded.bin_histograms(bases),
         expected,
-        "with an empty shard"
+        "more shards than rows"
     );
-    assert_eq!(sharded.pair_counts(items), pairs, "with an empty shard");
+    assert_eq!(sharded.pair_counts(items), pairs, "more shards than rows");
     set_parallelism_override(None);
 }
 

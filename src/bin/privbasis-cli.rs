@@ -1309,14 +1309,11 @@ fn eval(options: &EvalOptions) -> Result<(), String> {
 }
 
 /// The counting context a PrivBasis release runs on: `db`'s rows over `shards` row
-/// shards (one when unset). One shard adopts the rows rather than copying them; more
-/// copy them into contiguous blocks. Per-shard counts merge by summation and the noise
-/// is drawn once on the merged counts, so the shard count never changes a released byte.
+/// shards (one when unset), each a row range of `db` itself, never a copy. Per-shard
+/// counts merge by summation and the noise is drawn once on the merged counts, so the
+/// shard count never changes a released byte.
 fn pb_context(db: &Arc<TransactionDb>, shards: Option<usize>) -> QueryContext {
-    match shards {
-        None | Some(1) => QueryContext::new(Arc::clone(db)),
-        Some(shards) => QueryContext::sharded(ShardedDb::partition(db, shards).into_shared()),
-    }
+    QueryContext::sharded(ShardedDb::new(Arc::clone(db), shards.unwrap_or(1)).into_shared())
 }
 
 /// One central release of `options` over `db`. A PrivBasis release runs on `context`
@@ -2224,9 +2221,12 @@ mod tests {
         assert_eq!(pb, pb_sharded);
         let held = pb_context(&db, None);
         assert_eq!(pb, run(&base, &db, Some(&held)).unwrap());
-        // Unsharded, the context adopts the caller's rows: one copy stays resident.
-        let adopted = held.sharded_db().expect("every context is sharded");
-        assert!(Arc::ptr_eq(adopted.shards()[0].db(), &db));
+        // Sharded or not, the context adopts the caller's rows: one copy stays resident.
+        for shards in [None, Some(3)] {
+            let held = pb_context(&db, shards);
+            let adopted = held.sharded_db().expect("every context is sharded");
+            assert!(Arc::ptr_eq(adopted.store(), &db), "{shards:?}");
+        }
 
         let tf = run(
             &Options {

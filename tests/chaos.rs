@@ -155,14 +155,24 @@ impl Server {
     fn kill9(mut self) -> Arc<Mutex<String>> {
         self.child.kill().expect("kill -9 the server");
         self.child.wait().expect("reap the server");
-        self.log
+        Arc::clone(&self.log)
     }
 
     /// Clean protocol shutdown, returning the captured stderr.
     fn shutdown(mut self) -> Arc<Mutex<String>> {
         self.client().shutdown().expect("shutdown ack");
         self.child.wait().expect("server exits after shutdown");
-        self.log
+        Arc::clone(&self.log)
+    }
+}
+
+impl Drop for Server {
+    /// Kills and reaps the child, so a failing assertion leaves no server running.
+    /// After `kill9` or `shutdown` the child is already reaped and both errors are
+    /// ignored.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 

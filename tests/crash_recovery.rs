@@ -103,6 +103,16 @@ impl Server {
     }
 }
 
+impl Drop for Server {
+    /// Kills and reaps the child, so a failing assertion leaves no server running.
+    /// After `kill9` or `shutdown` the child is already reaped and both errors are
+    /// ignored.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Sends a raw line, panicking on transport errors (most tests want the bytes).
 fn raw(client: &mut PbClient, line: &str) -> String {
     client.raw_line(line).expect("request")
